@@ -57,10 +57,7 @@ def cartan(n: int) -> CartanData:
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(size))
         for i in range(size)
     )
-    Cinv = tuple(
-        tuple(Fraction(min(i, j) * (n - max(i, j)), n) for j in range(1, n))
-        for i in range(1, n)
-    )
+    Cinv = pt._cartan_inverse(n)
     for i in range(size):
         for j in range(size):
             acc = sum(C[i][k] * Cinv[k][j] for k in range(size))
@@ -220,8 +217,7 @@ def fermionic_limit(
         term = TruncatedSeries({0: 1}, 1, room)
         for mi in m:
             term = term * inv_pochhammer(mi, room)
-        shifted = term.shifted(expo)
-        total = total + TruncatedSeries(shifted.terms, shifted.den, cap)
+        total = total + TruncatedSeries.from_poly(term.poly.shifted(expo), cap)
     return total.shifted(-shift).truncate(degree)
 
 
@@ -229,22 +225,12 @@ def branching_series_stable(
     n: int, j: int, target: tuple[int, int], degree: int
 ) -> TruncatedSeries:
     """Stabilized branching series by size-exact partition enumeration."""
-    target = tuple(sorted(target))
-    prof = pt.weight_target_profile(n, j % n, target)
-    terms: dict[int, int] = {}
-    if prof is not None:
-        c, s0 = prof
-        max_size = n * degree + max(s0, 0)
-        pool = paths.js_partitions_upto(n, max_size)
-        for lam in pool:
-            jj = paths.fow_classify(lam, n)
-            if jj != paths.ALL_J and jj != j % n:
-                continue
-            m = pt.residue_counts(lam, n)
-            e = m[0]
-            if e <= degree and all(m[i] == e + c[i] for i in range(n)):
-                terms[e] = terms.get(e, 0) + 1
-    return TruncatedSeries(terms, 1, degree)
+    prof = pt.weight_target_profile(n, j % n, tuple(sorted(target)))
+    if prof is None:
+        return TruncatedSeries({}, 1, degree)
+    c, s0 = prof
+    pool = paths.js_partitions_upto(n, n * degree + max(s0, 0))
+    return TruncatedSeries(paths._profile_counts(n, j, c, pool), 1, degree)
 
 
 def rocha_caridi(mparam: int, r: int, s: int, order: int) -> TruncatedSeries:

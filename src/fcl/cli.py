@@ -33,53 +33,21 @@ def _check_degree(d: int):
         raise ResourceBoundError(f"degree {d} exceeds FCL_MAX_DEGREE={cap}")
 
 
-def _series_csv(series: TruncatedSeries) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["exponent", "coefficient"])
-    for num in sorted(series.terms):
-        e = num if series.den == 1 else f"{num}/{series.den}"
-        w.writerow([e, series.terms[num]])
-    return buf.getvalue()
-
-
-def _poly_csv(poly: LaurentPoly) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["exponent", "coefficient"])
-    for num in sorted(poly.terms):
-        e = num if poly.den == 1 else f"{num}/{poly.den}"
-        w.writerow([e, poly.terms[num]])
-    return buf.getvalue()
-
-
-def _emit_series(series: TruncatedSeries, fmt: str) -> str:
+def _emit(x: LaurentPoly | TruncatedSeries, fmt: str, var: str = "q") -> str:
     if fmt == "csv":
-        return _series_csv(series)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["exponent", "coefficient"])
+        for num in sorted(x.terms):
+            e = num if x.den == 1 else f"{num}/{x.den}"
+            w.writerow([e, x.terms[num]])
+        return buf.getvalue()
     if fmt == "json":
-        return json.dumps(
-            {
-                "den": series.den,
-                "order": str(series.order),
-                "terms": {str(k): v for k, v in sorted(series.terms.items())},
-            },
-            sort_keys=True,
-        )
-    return series.to_text()
-
-
-def _emit_poly(poly: LaurentPoly, fmt: str, var: str = "q") -> str:
-    if fmt == "csv":
-        return _poly_csv(poly)
-    if fmt == "json":
-        return json.dumps(
-            {
-                "den": poly.den,
-                "terms": {str(k): v for k, v in sorted(poly.terms.items())},
-            },
-            sort_keys=True,
-        )
-    return poly.to_text(var)
+        payload = {"den": x.den, "terms": {str(k): v for k, v in sorted(x.terms.items())}}
+        if isinstance(x, TruncatedSeries):
+            payload["order"] = str(x.order)
+        return json.dumps(payload, sort_keys=True)
+    return x.to_text(var)
 
 
 def _parse_target(text: str) -> tuple[int, int]:
@@ -197,8 +165,7 @@ def cmd_fow(args) -> str:
     header = ["partition", "E", "wt", "fow_j", "js", "core", "weight"]
     w.writerow(header)
     if args.partition is not None:
-        lam = pt.parse_partition(args.partition)
-        rows = paths.fow_table_rows_single(lam, args.n)
+        rows = [paths.fow_row(pt.parse_partition(args.partition), args.n)]
     else:
         rows = paths.fow_table_rows(args.n, args.m)
     for row in rows:
@@ -211,12 +178,12 @@ def cmd_branching(args) -> str:
     target = _parse_target(args.target)
     if args.source == "paths":
         poly = paths.branching_poly_paths(args.n, args.j, target, args.L)
-        return _emit_poly(poly, args.format)
+        return _emit(poly, args.format)
     if args.source == "crystal":
         series = crystal.branching_series_crystal(args.n, args.j, target, args.degree)
-        return _emit_series(series, args.format)
+        return _emit(series, args.format)
     fb = branching.fermionic_poly(args.n, args.j, target, args.L)
-    body = _emit_poly(fb.normalized, args.format)
+    body = _emit(fb.normalized, args.format)
     note = f"# raw shift q^{fb.shift} ({fb.reading} reading)"
     return body + ("\n" if not body.endswith("\n") else "") + note
 
@@ -228,25 +195,25 @@ def cmd_chi(args) -> str:
         series = paths.chi_js_direct(args.n, core, args.degree)
     else:
         series = branching.chi_js(args.n, core, args.degree)
-    return _emit_series(series, args.format)
+    return _emit(series, args.format)
 
 
 def cmd_abf(args) -> str:
     if args.source == "limit":
         _check_degree(args.degree)
         series = branching.x_limit(args.L, args.a, args.b, args.c, args.degree)
-        return _emit_series(series, args.format)
+        return _emit(series, args.format)
     if args.source == "closed":
         poly = branching.abf_closed(args.L, args.a, args.b, args.c, args.m)
     else:
         poly = paths.abf_sum_direct(args.L, args.a, args.b, args.c, args.m)
-    return _emit_poly(poly, args.format)
+    return _emit(poly, args.format)
 
 
 def cmd_virasoro(args) -> str:
     _check_degree(args.degree)
     series = branching.rocha_caridi(args.mparam, args.r, args.s, args.degree)
-    return _emit_series(series, args.format)
+    return _emit(series, args.format)
 
 
 def cmd_cores(args) -> str:

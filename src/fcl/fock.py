@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import partitions as pt
 from .errors import ExactDivisionError
-from .qseries import LaurentPoly, gauss_balanced, q_fact
+from .qseries import LaurentPoly, gauss_balanced, q_fact, q_int
 
 __all__ = [
     "FockVector",
@@ -230,10 +230,7 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
                 if i == j:
                     add, rem = pt.node_lists(lam, n, i)
                     k = len(add) - len(rem)
-                    qint = LaurentPoly(
-                        {e: (1 if k >= 0 else -1) for e in range(-(abs(k) - 1), abs(k), 2)}
-                    )
-                    rhs = v.scaled(qint)
+                    rhs = v.scaled(q_int(abs(k)) * (1 if k >= 0 else -1))
                 else:
                     rhs = FockVector(n, {})
                 if lhs != rhs:

@@ -30,6 +30,7 @@ __all__ = [
     "chi_js_direct",
     "branching_poly_paths",
     "abf_sum_direct",
+    "fow_row",
     "fow_table_rows",
 ]
 
@@ -112,10 +113,6 @@ def is_restricted(p: PathWord, j: int) -> bool:
     return True
 
 
-def _exponent_form(lam: pt.Partition) -> list[tuple[int, int]]:
-    return pt.multiplicities(lam)
-
-
 def _edge_sums_ok(mults: list[tuple[int, int]], n: int) -> bool:
     for k in range(len(mults) - 1):
         v1, a1 = mults[k]
@@ -131,7 +128,7 @@ def fow_classify(lam: pt.Partition, n: int):
         raise ValueError(f"{lam} is not {n}-regular")
     if not lam:
         return ALL_J
-    mults = _exponent_form(lam)
+    mults = pt.multiplicities(lam)
     if not _edge_sums_ok(mults, n):
         return None
     return (mults[0][0] - mults[0][1]) % n
@@ -205,12 +202,18 @@ def branching_poly_paths(
     if L > max_L:
         raise ResourceBoundError(f"path cutoff {L} exceeds bound {max_L}")
     prof = pt.weight_target_profile(n, j % n, target)
-    out: dict[int, int] = {}
     if prof is None:
         return LaurentPoly.zero()
-    c, s0 = prof
-    max_size = (n - 1) * L * (L + 1) // 2
-    for lam in js_partitions_upto(n, max_size, max_part=L):
+    pool = js_partitions_upto(n, (n - 1) * L * (L + 1) // 2, max_part=L)
+    return LaurentPoly(_profile_counts(n, j, prof[0], pool))
+
+
+def _profile_counts(
+    n: int, j: int, c: tuple[int, ...], pool: tuple[pt.Partition, ...]
+) -> dict[int, int]:
+    """E -> number of pool partitions of colour j (or empty) with m_i = E + c_i."""
+    out: dict[int, int] = {}
+    for lam in pool:
         jj = fow_classify(lam, n)
         if jj != ALL_J and jj != j % n:
             continue
@@ -218,7 +221,7 @@ def branching_poly_paths(
         e = m[0]
         if all(m[i] == e + c[i] for i in range(n)):
             out[e] = out.get(e, 0) + 1
-    return LaurentPoly(out)
+    return out
 
 
 def abf_sum_direct(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
@@ -255,7 +258,8 @@ def abf_sum_direct(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
     return states.get((b, c), LaurentPoly.zero())
 
 
-def _fow_row(lam: pt.Partition, n: int) -> dict[str, str]:
+def fow_row(lam: pt.Partition, n: int) -> dict[str, str]:
+    """The classification row of one partition (CSV payload)."""
     _, e, wt = pt.residue_data(lam, n)
     jj = fow_classify(lam, n)
     core, w = pt.n_core(lam, n)
@@ -274,8 +278,4 @@ def _fow_row(lam: pt.Partition, n: int) -> dict[str, str]:
 
 def fow_table_rows(n: int, m: int) -> list[dict[str, str]]:
     """One classification row per n-regular partition of m (CSV payload)."""
-    return [_fow_row(lam, n) for lam in pt.enumerate_partitions(m, regular=n)]
-
-
-def fow_table_rows_single(lam: pt.Partition, n: int) -> list[dict[str, str]]:
-    return [_fow_row(lam, n)]
+    return [fow_row(lam, n) for lam in pt.enumerate_partitions(m, regular=n)]

@@ -326,32 +326,18 @@ def qbinom_lower(m: int, k: int) -> LaurentPoly:
 class TruncatedSeries:
     """Power series known exactly up to a rational order bound.
 
-    Same exponent-lattice storage as LaurentPoly.  Operations never report
-    coefficients beyond ``order``; multiplying two series truncates at the
-    smaller of the two orders.
+    A LaurentPoly ``poly`` with no term above ``order``.  Operations never
+    report coefficients beyond ``order``: a sum or product of two series is
+    cut at the smaller order, a series times a LaurentPoly keeps its own.
     """
 
-    __slots__ = ("terms", "den", "order")
+    __slots__ = ("poly", "order")
 
     def __init__(self, terms: dict[int, int], den: int, order):
         order = _as_exp(order)
-        if den <= 0:
-            raise ValueError("denominator must be positive")
         cut = order * den
-        terms = {n: c for n, c in terms.items() if c != 0 and n <= cut}
-        if terms:
-            g = den
-            for n in terms:
-                g = gcd(g, n)
-                if g == 1:
-                    break
-            if g > 1:
-                terms = {n // g: c for n, c in terms.items()}
-                den //= g
-        else:
-            den = 1
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "den", den)
+        poly = LaurentPoly({n: c for n, c in terms.items() if n <= cut}, den)
+        object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -362,100 +348,64 @@ class TruncatedSeries:
         return TruncatedSeries(p.terms, p.den, order)
 
     def to_poly(self) -> LaurentPoly:
-        return LaurentPoly(dict(self.terms), self.den)
+        return self.poly
+
+    @property
+    def terms(self) -> dict[int, int]:
+        return self.poly.terms
+
+    @property
+    def den(self) -> int:
+        return self.poly.den
 
     def coeff(self, e) -> int:
         e = _as_exp(e)
         if e > self.order:
             raise ValueError(f"coefficient of q^{e} is beyond order {self.order}")
-        e = e * self.den
-        if e.denominator != 1:
-            return 0
-        return self.terms.get(e.numerator, 0)
+        return self.poly.coeff(e)
 
     def coeffs_upto(self, d: int) -> list[int]:
         """Integer-exponent coefficients [q^0] .. [q^d]."""
         return [self.coeff(k) for k in range(d + 1)]
 
-    def _promoted(self, other: "TruncatedSeries"):
-        d = lcm(self.den, other.den)
-        f1, f2 = d // self.den, d // other.den
-        t1 = {n * f1: c for n, c in self.terms.items()}
-        t2 = {n * f2: c for n, c in other.terms.items()}
-        return t1, t2, d, min(self.order, other.order)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        t1, t2, d, order = self._promoted(other)
-        for n, c in t2.items():
-            t1[n] = t1.get(n, 0) + c
-        return TruncatedSeries(t1, d, order)
+        return TruncatedSeries.from_poly(self.poly + other.poly, min(self.order, other.order))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        t1, t2, d, order = self._promoted(other)
-        for n, c in t2.items():
-            t1[n] = t1.get(n, 0) - c
-        return TruncatedSeries(t1, d, order)
+        return TruncatedSeries.from_poly(self.poly - other.poly, min(self.order, other.order))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(
-                {n: c * other for n, c in self.terms.items()}, self.den, self.order
+        if isinstance(other, TruncatedSeries):
+            return TruncatedSeries.from_poly(
+                self.poly * other.poly, min(self.order, other.order)
             )
-        if isinstance(other, LaurentPoly):
-            # a polynomial is exact, so only self's order limits the product
-            d = lcm(self.den, other.den)
-            f1, f2 = d // self.den, d // other.den
-            t1 = {n * f1: c for n, c in self.terms.items()}
-            t2 = {n * f2: c for n, c in other.terms.items()}
-            order = self.order
-        else:
-            t1, t2, d, order = self._promoted(other)
-        cut = order * d
-        out: dict[int, int] = {}
-        for n1, c1 in t1.items():
-            for n2, c2 in t2.items():
-                k = n1 + n2
-                if k <= cut:
-                    out[k] = out.get(k, 0) + c1 * c2
-        return TruncatedSeries(out, d, order)
+        # an int or a LaurentPoly is exact, so only self's order limits the product
+        return TruncatedSeries.from_poly(self.poly * other, self.order)
 
     __rmul__ = __mul__
 
     def shifted(self, e) -> "TruncatedSeries":
-        e = _as_exp(e)
-        d = lcm(self.den, e.denominator)
-        f = d // self.den
-        s = e.numerator * (d // e.denominator)
-        return TruncatedSeries(
-            {n * f + s: c for n, c in self.terms.items()}, d, self.order + e
-        )
+        return TruncatedSeries.from_poly(self.poly.shifted(e), self.order + _as_exp(e))
 
     def truncate(self, order) -> "TruncatedSeries":
         order = _as_exp(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.terms, self.den, order)
+        return TruncatedSeries.from_poly(self.poly, order)
 
     def min_exp(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero series has no exponents")
-        return Fraction(min(self.terms), self.den)
+        return self.poly.min_exp()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.den == other.den
-            and self.terms == other.terms
-        )
+        return self.order == other.order and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.order, self.den, tuple(sorted(self.terms.items()))))
+        return hash((self.order, self.poly))
 
     def to_text(self, var: str = "q") -> str:
-        body = self.to_poly().to_text(var)
-        return f"{body} + O({var}^{self.order + 1})"
+        return f"{self.poly.to_text(var)} + O({var}^{self.order + 1})"
 
     def __repr__(self):
         return f"TruncatedSeries({self.to_text()!r})"
@@ -463,11 +413,10 @@ class TruncatedSeries:
 
 def phi(order: int) -> TruncatedSeries:
     """The Euler product (1-q)(1-q^2)... truncated at the given order."""
-    p = _ONE
+    out = TruncatedSeries({0: 1}, 1, order)
     for n in range(1, order + 1):
-        p = p * LaurentPoly({0: 1, n: -1})
-        p = LaurentPoly({k: c for k, c in p.terms.items() if k <= order * p.den}, p.den)
-    return TruncatedSeries.from_poly(p, order)
+        out = out * LaurentPoly({0: 1, n: -1})
+    return out
 
 
 def inv_phi(order: int) -> TruncatedSeries:

@@ -150,6 +150,30 @@ def test_virasoro_and_abf(capsys):
     assert out.strip() == "1 + q^2"
 
 
+def test_series_formats_on_a_fractional_lattice(capsys):
+    argv = ("virasoro", "--mparam", "4", "--r", "1", "--s", "2", "--degree", "3")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == '{"den": 10, "order": "3", "terms": {"1": 1, "11": 1, "21": 1}}\n'
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == "exponent,coefficient\n1/10,1\n11/10,1\n21/10,1\n\n"
+    code, out = run(capsys, *argv)
+    assert out == "q^1/10 + q^11/10 + q^21/10 + O(q^4)\n"
+
+
+def test_poly_formats_on_a_fractional_lattice(capsys):
+    argv = ("abf", "--L", "4", "--a", "1", "--b", "2", "--c", "3", "--m", "3")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == '{"den": 2, "terms": {"1": 1, "3": 1}}\n'
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == "exponent,coefficient\n1/2,1\n3/2,1\n\n"
+    code, out = run(capsys, *argv)
+    assert out == "q^1/2 + q^3/2\n"
+
+
 def test_cores_text(capsys):
     code, out = run(capsys, "cores", "--partition", "7,5,4,4", "--n", "4")
     assert code == 0

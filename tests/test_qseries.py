@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -117,3 +118,27 @@ def test_truncated_series_order_guard():
     t = s * s
     assert t.order == 1
     assert t.coeffs_upto(1) == [1, 4]
+
+
+def test_truncated_series_mixed_lattices():
+    a = TruncatedSeries({0: 1, 5: 1}, 2, 3)  # 1 + q^5/2 + O(q^4)
+    b = TruncatedSeries({0: 1, 1: 1}, 3, 2)  # 1 + q^1/3 + O(q^3)
+    # sums and products of two series cut at the smaller order
+    total = a + b
+    assert total.order == 2 and total.den == 3 and total.terms == {0: 2, 1: 1}
+    assert (a - b).to_text() == "-q^1/3 + O(q^3)"
+    prod = a * b
+    assert prod == TruncatedSeries({0: 1, 1: 1}, 3, 2)
+    assert prod.to_text() == "1 + q^1/3 + O(q^3)"
+    # a polynomial factor is exact: the series keeps its order
+    scaled = a * Q((1, 3))
+    assert scaled.order == 3 and scaled.den == 6 and scaled.terms == {2: 1, 17: 1}
+    assert (a * Q(1)).to_text() == "q + O(q^4)"
+    assert (3 * a).terms == {0: 3, 5: 3}
+    # shifting moves the order with the exponents
+    moved = a.shifted((1, 4))
+    assert moved.order == Fraction(13, 4)
+    assert moved.to_text() == "q^1/4 + q^11/4 + O(q^17/4)"
+    assert a.truncate((1, 2)).to_text() == "1 + O(q^3/2)"
+    with pytest.raises(ValueError):
+        a.truncate(4)
