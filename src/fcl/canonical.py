@@ -117,6 +117,11 @@ class DecompositionMatrix:
         return [[e.eval_one() for e in row] for row in self.entries]
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"n must be at least 2 (q is a primitive n-th root of unity), got {n}")
+
+
 @lru_cache(maxsize=None)
 def global_basis_vectors(n: int, m: int) -> dict[pt.Partition, FockVector]:
     """The basis vectors G(mu) for all n-regular mu of m.
@@ -124,14 +129,16 @@ def global_basis_vectors(n: int, m: int) -> dict[pt.Partition, FockVector]:
     Processing runs in ascending lexicographic order (a linear extension of
     dominance), so every correction target is already available.
     """
-    regulars = pt.enumerate_partitions(m, regular=n)
+    _check_n(n)
+    regulars = sorted(pt.enumerate_partitions(m, regular=n), reverse=True)
     done: dict[pt.Partition, FockVector] = {}
-    for mu in sorted(regulars):  # ascending lex = dominance-compatible
+    for mu in reversed(regulars):  # ascending lex = dominance-compatible
         vec = monomial_A(mu, n)
-        for nu in sorted(regulars, reverse=True):
-            if nu == mu:
+        for nu in regulars:
+            c = vec.terms.get(nu)
+            if c is None or nu == mu:
                 continue
-            gamma = _bar_closure(vec.coeff(nu))
+            gamma = _bar_closure(c)
             if gamma.is_zero():
                 continue
             if nu not in done:
@@ -173,6 +180,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
     adjointness under the contravariant form equals the multiplicity of the
     upper-basis element for mu in the restriction of the one for lambda.
     """
+    _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     low = global_basis_vectors(n, m - 1)

@@ -1,9 +1,9 @@
 """Crystal structure on partitions: signature rule, Kashiwara operators,
 crystal graphs, branching multiplicities and the crystal irreducibility test.
 
-The signature of a partition scans its columns left to right, writing A for
-an addable i-node and R for a removable one; RA pairs cancel recursively and
-the survivors A..AR..R locate the good nodes.
+The signature of a partition reads its i-node sweep (columns left to right)
+as A for an addable i-node and R for a removable one; a stack cancels RA
+pairs in that one pass and the survivors A..AR..R locate the good nodes.
 """
 
 from __future__ import annotations
@@ -49,47 +49,54 @@ class SignatureWord:
         return " ".join(f"{s}{c}" for s, c in syms)
 
 
+def _reduce(lam: pt.Partition, n: int, i: int):
+    """(i-node sweep of lam, its uncancelled entries A..A R..R).
+
+    Read left to right, each A (addable) cancels the nearest R (removable)
+    before it that is still on the stack.
+    """
+    sweep = pt._inodes(lam, n, i)
+    stack = []
+    for node in sweep:
+        if node[2] > 0 and stack and stack[-1][2] < 0:
+            stack.pop()
+        else:
+            stack.append(node)
+    return sweep, stack
+
+
+def _letters(nodes) -> tuple[tuple[str, int], ...]:
+    return tuple(("A" if s > 0 else "R", col) for _, col, s in nodes)
+
+
 def signature(lam: pt.Partition, n: int, i: int) -> SignatureWord:
-    add, rem = pt.node_lists(lam, n, i)
-    raw = sorted(
-        [("A", nd.col) for nd in add] + [("R", nd.col) for nd in rem],
-        key=lambda t: t[1],
-    )
-    word = list(raw)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(word) - 1):
-            if word[k][0] == "R" and word[k + 1][0] == "A":
-                del word[k : k + 2]
-                changed = True
-                break
-    removals = [c for s, c in word if s == "R"]
-    addables = [c for s, c in word if s == "A"]
+    sweep, stack = _reduce(lam, n, i)
+    removals = [col for _, col, s in stack if s < 0]
+    addables = [col for _, col, s in stack if s > 0]
     return SignatureWord(
-        symbols=tuple(raw),
-        reduced=tuple(word),
+        symbols=_letters(sweep),
+        reduced=_letters(stack),
         good_removable=removals[0] if removals else None,
         good_addable=addables[-1] if addables else None,
     )
 
 
 def f_tilde(lam: pt.Partition, n: int, i: int) -> pt.Partition | None:
-    sig = signature(lam, n, i)
-    if sig.good_addable is None:
+    """Add the good i-node: the last A left after cancellation."""
+    _, stack = _reduce(lam, n, i)
+    rows = [r for r, _, s in stack if s > 0]
+    if not rows:
         return None
-    add, _ = pt.node_lists(lam, n, i)
-    nd = next(a for a in add if a.col == sig.good_addable)
-    return pt.add_node(lam, nd)
+    return pt._grown(lam, rows[-1])
 
 
 def e_tilde(lam: pt.Partition, n: int, i: int) -> pt.Partition | None:
-    sig = signature(lam, n, i)
-    if sig.good_removable is None:
+    """Remove the good i-node: the first R left after cancellation."""
+    _, stack = _reduce(lam, n, i)
+    rows = [r for r, _, s in stack if s < 0]
+    if not rows:
         return None
-    _, rem = pt.node_lists(lam, n, i)
-    nd = next(r for r in rem if r.col == sig.good_removable)
-    return pt.remove_node(lam, nd)
+    return pt._shrunk(lam, rows[0])
 
 
 def eps_phi(lam: pt.Partition, n: int, i: int) -> tuple[int, int]:

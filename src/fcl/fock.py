@@ -1,15 +1,24 @@
 """The level-1 q-deformed Fock space for affine type A.
 
 Basis vectors are indexed by partitions.  The generator action inserts or
-removes single nodes of a fixed residue, with q-powers counting the
-addable/removable nodes of that residue strictly to one side of the touched
-node (column order; "left" means strictly smaller column index for both the
-addable and removable counts, validated by relation_check).
+removes single nodes of a fixed residue i, weighted by a signed count of the
+addable (+1) and removable (-1) i-nodes strictly to one side of the touched
+node in column order: f_i multiplies by q^count, counting strictly to the
+right in lam; e_i by q^-count, counting strictly to the left in the smaller
+partition (validated by relation_check).
+
+Both read one sweep per partition, ``partitions._inodes``, which lists the
+i-nodes in column order: f_i walks it from the right and e_i from the left,
+keeping the running count.  Only for n = 1 can an addable and a removable
+i-node share a column, and only then does removing a node change the count
+to its left; each walk corrects for that in one line.  Each output
+coefficient is summed as integer exponents and built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import partitions as pt
 from .errors import ExactDivisionError
@@ -42,6 +51,14 @@ class FockVector:
         raise AttributeError("FockVector is immutable")
 
     @staticmethod
+    def _of(n: int, terms: dict[pt.Partition, LaurentPoly]) -> "FockVector":
+        """Wrap ``terms`` as they are; the caller guarantees no zero coefficient."""
+        v = object.__new__(FockVector)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "terms", terms)
+        return v
+
+    @staticmethod
     def basis(n: int, lam: pt.Partition) -> "FockVector":
         return FockVector(n, {tuple(lam): LaurentPoly.one()})
 
@@ -60,7 +77,12 @@ class FockVector:
         return FockVector(self.n, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scaled(LaurentPoly.const(-1))
+        if self.n != other.n:
+            raise ValueError("mixed moduli")
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] - v if k in out else -v
+        return FockVector(self.n, out)
 
     def scaled(self, c: LaurentPoly) -> "FockVector":
         return FockVector(self.n, {k: v * c for k, v in self.terms.items()})
@@ -98,53 +120,75 @@ class FockVector:
         return f"FockVector({self.to_text()!r})"
 
 
-def _count_side(nodes: list[pt.Node], col: int, side: str) -> int:
-    if side == "left":
-        return sum(1 for nd in nodes if nd.col < col)
-    return sum(1 for nd in nodes if nd.col > col)
+def _lattice(u: FockVector) -> int:
+    """The common exponent denominator of u's coefficients."""
+    den = 1
+    for c in u.terms.values():
+        if c.den != den:
+            den = lcm(den, c.den)
+    return den
 
 
-def _n_right(lam: pt.Partition, n: int, i: int, col: int) -> int:
-    add, rem = pt.node_lists(lam, n, i)
-    return _count_side(add, col, "right") - _count_side(rem, col, "right")
+def _add_shifted(t: dict[int, int], c: LaurentPoly, e: int, den: int) -> None:
+    """Add q**e * c into the numerators ``t`` of the lattice ``den``."""
+    f = den // c.den
+    e *= den
+    for k, v in c.terms.items():
+        k = k * f + e
+        t[k] = t.get(k, 0) + v
 
 
-def _n_left(lam: pt.Partition, n: int, i: int, col: int) -> int:
-    add, rem = pt.node_lists(lam, n, i)
-    return _count_side(add, col, "left") - _count_side(rem, col, "left")
+def _build(n: int, acc: dict[pt.Partition, dict[int, int]], den: int) -> FockVector:
+    """The FockVector of the accumulated numerators, each coefficient built once."""
+    out = {}
+    for nu, t in acc.items():
+        if 0 in t.values():  # contributions cancelled
+            t = {k: v for k, v in t.items() if v}
+        if t:
+            out[nu] = LaurentPoly._from_canonical(t) if den == 1 else LaurentPoly(t, den)
+    return FockVector._of(n, out)
 
 
 def f_apply(i: int, u: FockVector) -> FockVector:
     """Lowering generator: add one i-node, weighted by the right count."""
     n = u.n
-    out: dict[pt.Partition, LaurentPoly] = {}
+    den = _lattice(u)
+    acc: dict[pt.Partition, dict[int, int]] = {}
     for lam, c in u.terms.items():
-        add, _ = pt.node_lists(lam, n, i)
-        for nd in add:
-            nu = pt.add_node(lam, nd)
-            w = c.shifted(_n_right(lam, n, i, nd.col))
-            out[nu] = out.get(nu, LaurentPoly.zero()) + w
-    return FockVector(n, out)
+        count = 0
+        for r, col, s in reversed(pt._inodes(lam, n, i)):
+            if s > 0:
+                w = count
+                if n == 1 and r and lam[r - 1] == col:
+                    w += 1  # n = 1: the counted removable end of row r-1 is in this column
+                _add_shifted(acc.setdefault(pt._grown(lam, r), {}), c, w, den)
+            count += s
+    return _build(n, acc, den)
 
 
 def e_apply(i: int, u: FockVector) -> FockVector:
     """Raising generator: remove one i-node, weighted by the left count."""
     n = u.n
-    out: dict[pt.Partition, LaurentPoly] = {}
+    den = _lattice(u)
+    acc: dict[pt.Partition, dict[int, int]] = {}
     for lam, c in u.terms.items():
-        _, rem = pt.node_lists(lam, n, i)
-        for nd in rem:
-            nu = pt.remove_node(lam, nd)
-            w = c.shifted(-_n_left(nu, n, i, nd.col))
-            out[nu] = out.get(nu, LaurentPoly.zero()) + w
-    return FockVector(n, out)
+        count = 0
+        for r, _, s in pt._inodes(lam, n, i):
+            if s < 0:
+                # n = 1 only: either the addable node of row r+1 shares this
+                # column (counted, though not strictly left), or removing the
+                # node makes (r, col-1) removable (in the smaller partition,
+                # not counted); either way the count is one too high.
+                w = count - 1 if n == 1 else count
+                _add_shifted(acc.setdefault(pt._shrunk(lam, r), {}), c, -w, den)
+            count += s
+    return _build(n, acc, den)
 
 
 def diag_apply(kind: str, lam: pt.Partition, n: int, i: int = 0) -> LaurentPoly:
     """Eigenvalue of q^(h_i) (kind='h') or q^D (kind='D') on a basis vector."""
     if kind in ("h", "h_i"):
-        add, rem = pt.node_lists(lam, n, i)
-        return LaurentPoly.q_power(len(add) - len(rem))
+        return LaurentPoly.q_power(sum(s for _, _, s in pt._inodes(lam, n, i)))
     if kind in ("D", "d"):
         return LaurentPoly.q_power(-pt.residue_counts(lam, n)[0])
     raise ValueError(f"unknown diagonal kind {kind!r}")
@@ -157,6 +201,8 @@ def divided_f(i: int, k: int, u: FockVector) -> FockVector:
     v = u
     for _ in range(k):
         v = f_apply(i, v)
+    if k == 1:  # [1]! = 1
+        return v
     fact = q_fact(k)
     try:
         return v.map_coeffs(lambda c: c.exact_div(fact))
@@ -228,8 +274,7 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
             for j in range(n):
                 lhs = e_apply(i, f_apply(j, v)) - f_apply(j, e_apply(i, v))
                 if i == j:
-                    add, rem = pt.node_lists(lam, n, i)
-                    k = len(add) - len(rem)
+                    k = sum(s for _, _, s in pt._inodes(lam, n, i))
                     rhs = v.scaled(q_int(abs(k)) * (1 if k >= 0 else -1))
                 else:
                     rhs = FockVector(n, {})

@@ -230,10 +230,45 @@ def removable_nodes(lam: Partition) -> list[Node]:
     return sorted(out, key=lambda nd: nd.col)
 
 
+def _inodes(lam: Partition, n: int, i: int) -> list[tuple[int, int, int]]:
+    """The i-nodes of lam as (row, col, sign) in increasing column order.
+
+    Rows are 0-based indices into lam and columns are 1-based; sign is +1 for
+    an addable node and -1 for a removable one.  Every step down the rim,
+    where row k is longer than row k+1, carries the addable node at the end
+    of row k+1 and then the removable last node of row k.  A step of width
+    one puts the two in the same column; both are i-nodes only for n = 1.
+    """
+    out = []
+    below = 0  # length of row k+1
+    for k in range(len(lam) - 1, -1, -1):
+        p = lam[k]
+        if p > below:
+            if (below - k - 1 - i) % n == 0:
+                out.append((k + 1, below + 1, 1))
+            if (p - k - 1 - i) % n == 0:
+                out.append((k, p, -1))
+        below = p
+    if (below - i) % n == 0:
+        out.append((0, below + 1, 1))
+    return out
+
+
+def _grown(lam: Partition, r: int) -> Partition:
+    """lam with one more node in the 0-based row r (the row just below when r = len(lam))."""
+    return lam[:r] + (lam[r] + 1,) + lam[r + 1 :] if r < len(lam) else lam + (1,)
+
+
+def _shrunk(lam: Partition, r: int) -> Partition:
+    """lam without the last node of the 0-based row r."""
+    return lam[:r] + (lam[r] - 1,) + lam[r + 1 :] if lam[r] > 1 else lam[:r]
+
+
 def node_lists(lam: Partition, n: int, i: int) -> tuple[list[Node], list[Node]]:
     """(addable i-nodes, removable i-nodes), increasing column order."""
-    add = [nd for nd in addable_nodes(lam) if nd.residue(n) == i % n]
-    rem = [nd for nd in removable_nodes(lam) if nd.residue(n) == i % n]
+    add, rem = [], []
+    for r, c, s in _inodes(lam, n, i):
+        (add if s > 0 else rem).append(Node(r + 1, c, c - r - 1))
     return add, rem
 
 

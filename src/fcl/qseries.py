@@ -88,6 +88,18 @@ class LaurentPoly:
         e = _as_exp(e)
         return LaurentPoly({e.numerator: coeff}, e.denominator)
 
+    @staticmethod
+    def _from_canonical(terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap integer-exponent terms as they are, without checking them.
+
+        The caller guarantees that no coefficient is zero, which makes the
+        pair (terms, den=1) canonical; ``terms`` is kept, not copied.
+        """
+        p = object.__new__(LaurentPoly)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "den", 1)
+        return p
+
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -114,6 +114,15 @@ def test_exit_code_invalid_args(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_n_below_two(capsys):
+    for cmd in ("decomp-matrix", "canonical-basis", "restriction"):
+        for n in ("0", "1", "-2"):
+            assert dispatch([cmd, "--n", n, "--m", "4"]) == 2, (cmd, n)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"error: n must be at least 2 (q is a primitive n-th root of unity), got {n}" in err
+
+
 def test_exit_code_resource_cap(capsys, monkeypatch):
     monkeypatch.setenv("FCL_MAX_DEGREE", "4")
     assert dispatch(["virasoro", "--degree", "10"]) == 4

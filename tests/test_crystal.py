@@ -12,7 +12,7 @@ from fcl.crystal import (
     to_dot,
 )
 from fcl.errors import ResourceBoundError
-from fcl.partitions import enumerate_partitions
+from fcl.partitions import add_node, enumerate_partitions, node_lists, remove_node
 
 BIG = (16, 13, 11, 10, 9, 8, 7, 5, 2)
 
@@ -28,6 +28,52 @@ def test_signature_goldens():
     s2 = signature(BIG, 3, 2)
     assert s2.word(reduced=True) == "R2 R11 R13"
     assert s2.good_addable is None and s2.good_removable == 2
+
+
+def restart_signature(lam, n, i):
+    """Oracle: delete the first adjacent RA pair and rescan, until none is left.
+
+    Returns (word, reduced word, good removable node, good addable node).
+    """
+    add, rem = node_lists(lam, n, i)
+    raw = sorted([("A", nd) for nd in add] + [("R", nd) for nd in rem], key=lambda t: t[1].col)
+    word = list(raw)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(word) - 1):
+            if word[k][0] == "R" and word[k + 1][0] == "A":
+                del word[k : k + 2]
+                changed = True
+                break
+    removals = [nd for s, nd in word if s == "R"]
+    addables = [nd for s, nd in word if s == "A"]
+
+    def text(w):
+        return " ".join(f"{s}{nd.col}" for s, nd in w)
+
+    return (
+        text(raw),
+        text(word),
+        removals[0] if removals else None,
+        addables[-1] if addables else None,
+    )
+
+
+def test_signature_matches_restart_oracle():
+    # n = 1 puts an addable and a removable node in one column; the word
+    # reads the addable one first
+    for n in range(1, 6):
+        for m in range(9):
+            for lam in enumerate_partitions(m):
+                for i in range(n):
+                    word, reduced, good_r, good_a = restart_signature(lam, n, i)
+                    sig = signature(lam, n, i)
+                    assert (sig.word(), sig.word(reduced=True)) == (word, reduced), (n, lam, i)
+                    assert sig.good_removable == (good_r.col if good_r else None)
+                    assert sig.good_addable == (good_a.col if good_a else None)
+                    assert e_tilde(lam, n, i) == (remove_node(lam, good_r) if good_r else None)
+                    assert f_tilde(lam, n, i) == (add_node(lam, good_a) if good_a else None)
 
 
 def test_kashiwara_operator_goldens():

@@ -5,7 +5,12 @@ oracle that scans the diagram cell by cell, independent of the library's
 node bookkeeping.
 """
 
-from fcl import fock
+from itertools import combinations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fcl import partitions
 from fcl.fock import (
     FockVector,
     classical_apply,
@@ -106,13 +111,106 @@ def test_adjointness_spot_check():
 
 
 def test_action_matches_naive_oracle():
-    for n in (2, 3):
-        for m in range(8):
+    # n = 1 makes every node an i-node, so addable and removable nodes share
+    # columns and the "strictly to one side" rule is exercised
+    for n in range(1, 6):
+        for m in range(9):
             for lam in enumerate_partitions(m):
                 v = FockVector.basis(n, lam)
                 for i in range(n):
-                    assert f_apply(i, v) == naive_f(i, lam, n), (lam, i)
-                    assert e_apply(i, v) == naive_e(i, lam, n), (lam, i)
+                    assert f_apply(i, v) == naive_f(i, lam, n), (n, lam, i)
+                    assert e_apply(i, v) == naive_e(i, lam, n), (n, lam, i)
+
+
+def naive_span(op, i, u):
+    """The oracle extended linearly, summed with FockVector arithmetic."""
+    out = FockVector(u.n, {})
+    for lam, c in u.terms.items():
+        out = out + op(i, lam, u.n).scaled(c)
+    return out
+
+
+def test_linear_combination_cancels_without_zero_terms():
+    # f_1 sends both v[2] and v[1,1] to a multiple of v[2,1] when n = 2
+    a = naive_f(1, (2,), 2).coeff((2, 1))
+    b = naive_f(1, (1, 1), 2).coeff((2, 1))
+    u = FockVector(2, {(2,): b, (1, 1): -a})
+    got = f_apply(1, u)
+    assert (2, 1) not in got.terms
+    assert got == naive_span(naive_f, 1, u)
+    assert all(not c.is_zero() for c in got.terms.values())
+
+
+def test_half_integer_lattice_goldens():
+    half = LaurentPoly.q_power((1, 2))
+    u = FockVector(2, {(1,): half, (2,): LaurentPoly.one(), (1, 1): LaurentPoly({-1: 1, 2: -3})})
+    assert f_apply(1, u).to_text() == (
+        "(2*q^-1 - 3*q^2) * v[2,1] + q^1/2 * v[2] + q^3/2 * v[1,1]"
+    )
+    assert e_apply(1, u).to_text() == "(2*q^-1 - 3*q^2) * v[1]"
+    assert e_apply(0, u).to_text() == "q^1/2 * v[0]"
+    # the half-integer parts cancel and the coefficient drops back to Z[q, 1/q]
+    u = FockVector(2, {(2,): LaurentPoly.one() + half, (1, 1): -half.shifted(-1)})
+    got = f_apply(1, u)
+    assert got == FockVector(2, {(2, 1): Q(-1)})
+    assert got.coeff((2, 1)).den == 1
+
+
+exponents = st.integers(-4, 4)
+coefficients = st.builds(
+    LaurentPoly,
+    st.dictionaries(exponents, st.integers(-3, 3), max_size=3),
+    st.sampled_from((1, 1, 2)),
+)
+
+
+@st.composite
+def spans(draw):
+    """(n, i, u): a small combination of partitions of one size m <= 6."""
+    n = draw(st.integers(1, 5))
+    parts = enumerate_partitions(draw(st.integers(0, 6)))
+    support = draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4, unique=True))
+    terms = {lam: draw(coefficients) for lam in support}
+    return n, draw(st.integers(0, n - 1)), FockVector(n, terms)
+
+
+def canonical(c):
+    return not c.is_zero() and c == LaurentPoly(dict(c.terms), c.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spans())
+def test_action_is_the_linear_oracle_on_spans(case):
+    n, i, u = case
+    for op, oracle in ((f_apply, naive_f), (e_apply, naive_e)):
+        got = op(i, u)
+        assert got == naive_span(oracle, i, u)
+        assert all(canonical(c) for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(3, 6),
+    st.sampled_from(((f_apply, naive_f), (e_apply, naive_e))),
+    st.data(),
+)
+def test_action_cancels_to_no_term(n, m, action, data):
+    """a*v[lam] + b*v[mu] chosen so that the nu-coefficients of the images cancel."""
+    op, oracle = action
+    i = data.draw(st.integers(0, n - 1))
+    images = {lam: oracle(i, lam, n) for lam in enumerate_partitions(m)}
+    shared = [
+        (lam, mu, nu)
+        for lam, mu in combinations(images, 2)
+        for nu in sorted(images[lam].terms.keys() & images[mu].terms.keys())
+    ]
+    assume(shared)
+    lam, mu, nu = data.draw(st.sampled_from(shared))
+    u = FockVector(n, {lam: images[mu].coeff(nu), mu: -images[lam].coeff(nu)})
+    got = op(i, u)
+    assert nu not in got.terms
+    assert got == naive_span(oracle, i, u)
 
 
 def test_degree_shift():
@@ -188,15 +286,21 @@ def test_relation_check_passes():
 
 
 def test_relation_check_negative_control(monkeypatch):
-    original = fock._n_right
+    # Move the first i-node of every sweep to its end.  Each node still moves
+    # and every h_i eigenvalue stays, but the running counts, and so the
+    # q-powers, go wrong.  (Reversing the sweep would not do: it gives the
+    # opposite, equally valid convention.)
+    original = partitions._inodes
 
-    def corrupted(lam, n, i, col):
-        return -original(lam, n, i, col)
+    def corrupted(lam, n, i):
+        sweep = original(lam, n, i)
+        return sweep[1:] + sweep[:1]
 
-    monkeypatch.setattr(fock, "_n_right", corrupted)
+    monkeypatch.setattr(partitions, "_inodes", corrupted)
     report = relation_check(2, 4)
     assert not report.ok
     assert report.failures  # a witness is named
+    assert not any(f.startswith("weight") for f in report.failures)
 
 
 def test_fock_vector_text():
