@@ -7,14 +7,7 @@ form and the minimal-model character it converges to.
 
 from fcl.branching import abf_closed, rocha_caridi, x_limit
 from fcl.paths import abf_sum_direct
-from fcl.specht import (
-    mat_eq,
-    mat_mul,
-    rep_matrix,
-    standard_tableaux,
-    straighten,
-    tableau_text,
-)
+from fcl.specht import rep_matrix, rep_word, standard_tableaux, straighten, tableau_text
 
 shape = (3, 2)
 print("standard tableaux of (3,2):", [tableau_text(t) for t in standard_tableaux(shape)])
@@ -25,9 +18,7 @@ print("generator matrix T_1 (dots for zeros):")
 for row in rep_matrix(shape, 1):
     print("  ", [e.to_text("v") if not e.is_zero() else "." for e in row])
 
-t1 = [list(r) for r in rep_matrix(shape, 1)]
-t2 = [list(r) for r in rep_matrix(shape, 2)]
-print("braid relation holds:", mat_eq(mat_mul(mat_mul(t1, t2), t1), mat_mul(mat_mul(t2, t1), t2)))
+print("braid relation holds:", rep_word(shape, (1, 2, 1)) == rep_word(shape, (2, 1, 2)))
 
 print()
 L, a, b, c = 4, 1, 1, 2

@@ -52,16 +52,6 @@ def ladders(mu: pt.Partition, n: int) -> list[tuple[int, int, int]]:
     return [(ell, (1 - ell) % n, counts[ell]) for ell in sorted(counts)]
 
 
-def _monomial(mu: pt.Partition, n: int, ladder_first: bool) -> FockVector:
-    vec = FockVector.basis(n, ())
-    seq = ladders(mu, n)
-    if not ladder_first:
-        seq = list(reversed(seq))
-    for _, res, k in seq:
-        vec = divided_f(res, k, vec)
-    return vec
-
-
 def _leading_ok(vec: FockVector, mu: pt.Partition) -> bool:
     if vec.coeff(mu) != LaurentPoly.one():
         return False
@@ -73,13 +63,11 @@ def _leading_ok(vec: FockVector, mu: pt.Partition) -> bool:
 def monomial_A(mu: pt.Partition, n: int) -> FockVector:
     """Bar-invariant first approximation with unit leading coefficient.
 
-    Applies the ladder divided powers lowest ladder first; if the leading-term
-    assertion fails, the reversed order is tried once before giving up.
+    Applies the ladder divided powers lowest ladder first.
     """
-    vec = _monomial(mu, n, ladder_first=True)
-    if _leading_ok(vec, mu):
-        return vec
-    vec = _monomial(mu, n, ladder_first=False)
+    vec = FockVector.basis(n, ())
+    for _, res, k in ladders(mu, n):
+        vec = divided_f(res, k, vec)
     if _leading_ok(vec, mu):
         return vec
     raise ConventionError(

@@ -50,9 +50,30 @@ def _emit(x: LaurentPoly | TruncatedSeries, fmt: str, var: str = "q") -> str:
     return x.to_text(var)
 
 
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else exit 2 saying it must be ``what``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return integer
+
+
+_NONNEGATIVE = _int_at_least(0, "nonnegative")
+_ROOT_ORDER = _int_at_least(2, "at least 2 (q is a primitive n-th root of unity)")
+
+
 def _parse_target(text: str) -> tuple[int, int]:
-    a, b = text.split(",")
-    return int(a), int(b)
+    try:
+        a, b = text.split(",")
+        return int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be two integers s,t (the target Lambda_s + Lambda_t), got {text!r}"
+        ) from None
 
 
 def _specht_matrix_csv(shape: pt.Partition, mat) -> str:
@@ -175,14 +196,13 @@ def cmd_fow(args) -> str:
 
 def cmd_branching(args) -> str:
     _check_degree(args.degree)
-    target = _parse_target(args.target)
     if args.source == "paths":
-        poly = paths.branching_poly_paths(args.n, args.j, target, args.L)
+        poly = paths.branching_poly_paths(args.n, args.j, args.target, args.L)
         return _emit(poly, args.format)
     if args.source == "crystal":
-        series = crystal.branching_series_crystal(args.n, args.j, target, args.degree)
+        series = crystal.branching_series_crystal(args.n, args.j, args.target, args.degree)
         return _emit(series, args.format)
-    fb = branching.fermionic_poly(args.n, args.j, target, args.L)
+    fb = branching.fermionic_poly(args.n, args.j, args.target, args.L)
     body = _emit(fb.normalized, args.format)
     note = f"# raw shift q^{fb.shift} ({fb.reading} reading)"
     return body + ("\n" if not body.endswith("\n") else "") + note
@@ -219,7 +239,7 @@ def cmd_virasoro(args) -> str:
 def cmd_cores(args) -> str:
     lam = pt.parse_partition(args.partition)
     core, weight = pt.n_core(lam, args.n)
-    hooks = pt.rim_hooks(lam, args.n)
+    hooks = pt.rim_hook_count(lam, args.n)
     if args.format == "json":
         return json.dumps(
             {
@@ -227,11 +247,11 @@ def cmd_cores(args) -> str:
                 "n": args.n,
                 "core": pt.format_partition(core),
                 "weight": weight,
-                "hooks": len(hooks),
+                "hooks": hooks,
             },
             sort_keys=True,
         )
-    return f"core={pt.format_partition(core)} weight={weight} hooks={len(hooks)}"
+    return f"core={pt.format_partition(core)} weight={weight} hooks={hooks}"
 
 
 def cmd_selfcheck(args) -> str:
@@ -292,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("crystal-graph", cmd_crystal_graph, help="crystal graph as dot/json/text")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--max-m", type=int, default=5)
+    sp.add_argument("--max-m", type=_NONNEGATIVE, default=5)
     sp.add_argument("--full", action="store_true", help="all partitions, not just the component of the empty one")
     sp.add_argument("--max-nodes", type=int, default=None)
     sp.add_argument("--format", choices=("dot", "json", "text"), default="dot")
@@ -325,37 +345,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("js-list", cmd_js_list, help="irreducible-restriction labels by core and weight")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--core", default="")
-    sp.add_argument("--weight", type=int, default=0)
+    sp.add_argument("--weight", type=_NONNEGATIVE, default=0)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     sp = add("fow", cmd_fow, help="border-edge classification table")
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--partition", default=None)
 
     sp = add("branching", cmd_branching, help="branching series/polynomials")
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--j", type=int, default=0)
-    sp.add_argument("--target", default="0,0")
-    sp.add_argument("--L", type=int, default=8)
-    sp.add_argument("--degree", type=int, default=6)
+    sp.add_argument("--target", type=_parse_target, default=(0, 0))
+    sp.add_argument("--L", type=_NONNEGATIVE, default=8)
+    sp.add_argument("--degree", type=_NONNEGATIVE, default=6)
     sp.add_argument("--source", choices=("paths", "crystal", "fermionic"), default="paths")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     sp = add("chi", cmd_chi, help="irreducible-restriction generating series")
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--core", default="")
-    sp.add_argument("--degree", type=int, default=4)
+    sp.add_argument("--degree", type=_NONNEGATIVE, default=4)
     sp.add_argument("--source", choices=("jscor", "direct"), default="jscor")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     sp = add("abf", cmd_abf, help="height-model configuration sums")
-    sp.add_argument("--L", type=int, default=4)
+    sp.add_argument("--L", type=_NONNEGATIVE, default=4)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--b", type=int, default=1)
     sp.add_argument("--c", type=int, default=2)
     sp.add_argument("--m", type=int, default=4)
-    sp.add_argument("--degree", type=int, default=8)
+    sp.add_argument("--degree", type=_NONNEGATIVE, default=8)
     sp.add_argument("--source", choices=("direct", "closed", "limit"), default="direct")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
@@ -363,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mparam", type=int, default=3)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--degree", type=int, default=10)
+    sp.add_argument("--degree", type=_NONNEGATIVE, default=10)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     sp = add("cores", cmd_cores, help="core, hook weight and hook count")

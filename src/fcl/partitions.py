@@ -28,8 +28,8 @@ __all__ = [
     "removable_nodes",
     "node_lists",
     "content_lists",
-    "rim_hooks",
     "n_core",
+    "rim_hook_count",
     "enumerate_partitions",
     "dominates",
     "weight_basics",
@@ -292,72 +292,43 @@ def remove_node(lam: Partition, nd: Node) -> Partition:
     return tuple(p for p in rows if p)
 
 
-def rim_hooks(lam: Partition, n: int) -> list[tuple[tuple[tuple[int, int], ...], Partition]]:
-    """Removable n-rim-hooks as (cells, resulting partition) pairs.
+def _beads(lam: Partition) -> list[int]:
+    """Beta numbers lam_i + r - 1 - i (r = len(lam)), decreasing.
 
-    A hook starts at the rightmost node of some row, walks down when a node
-    exists directly below, else left, for n nodes.  Walks that leave the
-    diagram or whose removal breaks the shape are discarded.
+    They are the beads of an abacus with n runners, bead b on runner b mod n.
+    Removing an n-rim-hook moves one bead a step up its runner into a free
+    position.
     """
-    if n < 1:
-        raise ValueError("hook length must be >= 1")
-    out = []
-    for start in range(len(lam)):
-        r, c = start, lam[start]
-        cells = [(r + 1, c)]
-        ok = True
-        for _ in range(n - 1):
-            if r + 1 < len(lam) and lam[r + 1] >= c:
-                r += 1
-            else:
-                c -= 1
-                if c < 1:
-                    ok = False
-                    break
-            cells.append((r + 1, c))
-        if not ok:
-            continue
-        removed = [0] * len(lam)
-        for row, _ in cells:
-            removed[row - 1] += 1
-        new = [p - k for p, k in zip(lam, removed)]
-        if all(new[i] >= new[i + 1] for i in range(len(new) - 1)) and all(
-            p >= 0 for p in new
-        ):
-            out.append((tuple(cells), tuple(p for p in new if p)))
-    return out
-
-
-def _beta_hook_results(lam: Partition, n: int) -> list[Partition]:
-    """Rim-hook removals via first-column hook lengths (beta numbers)."""
     r = len(lam)
-    beta = [lam[i] + r - 1 - i for i in range(r)]
-    bset = set(beta)
-    out = []
-    for i, b in enumerate(beta):
-        if b - n >= 0 and b - n not in bset:
-            nb = sorted(beta, reverse=True)
-            nb[nb.index(b)] = b - n
-            nb.sort(reverse=True)
-            new = tuple(
-                p for p in (nb[j] - (r - 1 - j) for j in range(r)) if p > 0
-            )
-            out.append(new)
-    return out
+    return [p + r - 1 - i for i, p in enumerate(lam)]
 
 
 def n_core(lam: Partition, n: int) -> tuple[Partition, int]:
-    """(n-core, n-weight); independent of the removal order."""
+    """(n-core, n-weight): slide every bead up its runner as far as it goes.
+
+    The core is what the slid beads spell; the weight counts the steps.
+    """
     if n < 2:
         raise ValueError("core needs n >= 2")
+    on_runner = [0] * n
+    slid = []
     weight = 0
-    cur = lam
-    while True:
-        hooks = rim_hooks(cur, n)
-        if not hooks:
-            return cur, weight
-        cur = hooks[0][1]
-        weight += 1
+    for b in reversed(_beads(lam)):
+        top = b % n + n * on_runner[b % n]
+        on_runner[b % n] += 1
+        weight += (b - top) // n
+        slid.append(top)
+    slid.sort(reverse=True)
+    r = len(lam)
+    return tuple(p for p in (b - (r - 1 - i) for i, b in enumerate(slid)) if p > 0), weight
+
+
+def rim_hook_count(lam: Partition, n: int) -> int:
+    """Number of removable n-rim-hooks: beads b >= n with b - n free."""
+    if n < 1:
+        raise ValueError("hook length must be >= 1")
+    beads = set(_beads(lam))
+    return sum(1 for b in beads if b >= n and b - n not in beads)
 
 
 def enumerate_partitions(

@@ -36,16 +36,9 @@ __all__ = [
     "jucys_murphy",
     "specialize",
     "cyclotomic_poly",
-    "mat_mul",
-    "mat_identity",
-    "mat_add",
-    "mat_scale",
-    "mat_eq",
-    "mat_is_zero",
 ]
 
 Tableau = tuple[tuple[int, ...], ...]
-Matrix = list[list[LaurentPoly]]
 
 
 def shape_of(t: Tableau) -> pt.Partition:
@@ -347,6 +340,16 @@ def _generator_image(t: Tableau, i: int) -> SpechtVector:
     )
 
 
+def _rows(basis: tuple[Tableau, ...], cols: list[SpechtVector]) -> list[list[LaurentPoly]]:
+    """Dense rows of the matrix whose j-th column is cols[j]."""
+    index = {t: k for k, t in enumerate(basis)}
+    dense = [[LaurentPoly.zero()] * len(basis) for _ in cols]
+    for col, vec in zip(dense, cols):
+        for b, c in vec.terms.items():
+            col[index[b]] = c
+    return [list(row) for row in zip(*dense)]
+
+
 @lru_cache(maxsize=None)
 def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     """Matrix of the i-th generator; columns are images of basis vectors."""
@@ -355,61 +358,38 @@ def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ..
     if not 1 <= i <= m - 1:
         raise ValueError(f"generator index {i} out of range for m={m}")
     basis = standard_tableaux(shape)
-    index = {t: k for k, t in enumerate(basis)}
-    cols = []
-    for t in basis:
-        img = _generator_image(t, i)
-        col = [LaurentPoly.zero()] * len(basis)
-        for b, c in img.terms.items():
-            col[index[b]] = c
-        cols.append(col)
-    return tuple(tuple(cols[c][r] for c in range(len(basis))) for r in range(len(basis)))
+    return tuple(map(tuple, _rows(basis, [_generator_image(t, i) for t in basis])))
 
 
-def mat_identity(k: int) -> Matrix:
-    return [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(k)]
-        for i in range(k)
-    ]
+def _word_image(t: Tableau, word: tuple[int, ...], images: dict) -> SpechtVector:
+    """A generator word on a standard tableau vector, letters right to left.
+
+    Each letter T_i sums the straightened images of the current tableaux,
+    memoized in ``images`` by (tableau, i), into one dict.
+    """
+    vec = SpechtVector(shape_of(t), {t: LaurentPoly.one()})
+    for i in reversed(word):
+        acc: dict[Tableau, LaurentPoly] = {}
+        for u, c in vec.terms.items():
+            img = images.get((u, i))
+            if img is None:
+                img = images[(u, i)] = _generator_image(u, i)
+            for b, d in img.terms.items():
+                prev = acc.get(b)
+                acc[b] = c * d if prev is None else prev + c * d
+        vec = SpechtVector(vec.shape, acc)
+    return vec
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    k, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[LaurentPoly.zero()] * cols for _ in range(k)]
-    for i in range(k):
-        for l in range(mid):
-            ail = a[i][l]
-            if ail.is_zero():
-                continue
-            for j in range(cols):
-                if not b[l][j].is_zero():
-                    out[i][j] = out[i][j] + ail * b[l][j]
-    return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: LaurentPoly) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> Matrix:
+def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPoly]]:
     """Matrix of the basis element attached to a reduced generator word."""
-    basis = standard_tableaux(tuple(shape))
-    out = mat_identity(len(basis))
-    for i in word:
-        out = mat_mul(out, [list(r) for r in rep_matrix(tuple(shape), i)])
-    return out
+    shape = pt.check_partition(shape)
+    m = sum(shape)
+    if not all(1 <= i <= m - 1 for i in word):
+        raise ValueError(f"generator word {word} out of range for m={m}")
+    basis = standard_tableaux(shape)
+    images: dict = {}
+    return _rows(basis, [_word_image(t, word, images) for t in basis])
 
 
 def _transposition_word(i: int, k: int) -> tuple[int, ...]:
@@ -419,17 +399,21 @@ def _transposition_word(i: int, k: int) -> tuple[int, ...]:
     return tuple(up + down)
 
 
-def jucys_murphy(shape: pt.Partition, k: int, use_v: bool = True) -> Matrix:
+def jucys_murphy(shape: pt.Partition, k: int, use_v: bool = True) -> list[list[LaurentPoly]]:
     """The k-th twisted-transposition sum; q=1 flag gives the plain one."""
     shape = pt.check_partition(shape)
     if not 2 <= k <= sum(shape):
         raise ValueError("k out of range")
     basis = standard_tableaux(shape)
-    total = mat_scale(mat_identity(len(basis)), LaurentPoly.zero())
-    for i in range(1, k):
-        term = rep_word(shape, _transposition_word(i, k))
-        term = mat_scale(term, LaurentPoly.q_power(i - k))
-        total = mat_add(total, term)
+    words = [(LaurentPoly.q_power(i - k), _transposition_word(i, k)) for i in range(1, k)]
+    images: dict = {}
+    cols = []
+    for t in basis:
+        col = SpechtVector(shape)
+        for scale, word in words:
+            col = col + _word_image(t, word, images).scaled(scale)
+        cols.append(col)
+    total = _rows(basis, cols)
     if not use_v:
         total = [
             [LaurentPoly.const(x.eval_one()) for x in row] for row in total

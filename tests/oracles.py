@@ -1,0 +1,138 @@
+"""Second implementations that the tests compare the library against.
+
+Dense matrices over Z[v] (lists of rows of ``LaurentPoly``) with the plain
+triple-loop product, the generator-word and Jucys-Murphy matrices as dense
+products of ``rep_matrix``, and n-rim-hooks found by walking the rim, with
+the n-core obtained by removing them one at a time.
+"""
+
+from fcl import specht
+from fcl.partitions import Partition, check_partition
+from fcl.qseries import LaurentPoly
+
+Matrix = list[list[LaurentPoly]]
+
+
+def mat_identity(k: int) -> Matrix:
+    return [
+        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    k, mid, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[LaurentPoly.zero()] * cols for _ in range(k)]
+    for i in range(k):
+        for l in range(mid):
+            ail = a[i][l]
+            if ail.is_zero():
+                continue
+            for j in range(cols):
+                if not b[l][j].is_zero():
+                    out[i][j] = out[i][j] + ail * b[l][j]
+    return out
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a: Matrix, c: LaurentPoly) -> Matrix:
+    return [[x * c for x in row] for row in a]
+
+
+def mat_eq(a: Matrix, b: Matrix) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def mat_is_zero(a: Matrix) -> bool:
+    return all(x.is_zero() for row in a for x in row)
+
+
+def rep_word(shape: Partition, word: tuple[int, ...]) -> Matrix:
+    """Product of the generator matrices of a word, left to right."""
+    basis = specht.standard_tableaux(tuple(shape))
+    out = mat_identity(len(basis))
+    for i in word:
+        out = mat_mul(out, [list(r) for r in specht.rep_matrix(tuple(shape), i)])
+    return out
+
+
+def jucys_murphy(shape: Partition, k: int, use_v: bool = True) -> Matrix:
+    """Sum of q^(i-k) times the matrix of the transposition (i, k), i < k."""
+    shape = check_partition(shape)
+    basis = specht.standard_tableaux(shape)
+    total = mat_scale(mat_identity(len(basis)), LaurentPoly.zero())
+    for i in range(1, k):
+        word = tuple(range(i, k)) + tuple(range(k - 2, i - 1, -1))
+        total = mat_add(total, mat_scale(rep_word(shape, word), LaurentPoly.q_power(i - k)))
+    if not use_v:
+        total = [[LaurentPoly.const(x.eval_one()) for x in row] for row in total]
+    return total
+
+
+def rim_hooks(lam: Partition, n: int) -> list[tuple[tuple[tuple[int, int], ...], Partition]]:
+    """Removable n-rim-hooks as (cells, resulting partition) pairs.
+
+    A hook starts at the rightmost node of some row, walks down when a node
+    exists directly below, else left, for n nodes.  Walks that leave the
+    diagram or whose removal breaks the shape are discarded.
+    """
+    if n < 1:
+        raise ValueError("hook length must be >= 1")
+    out = []
+    for start in range(len(lam)):
+        r, c = start, lam[start]
+        cells = [(r + 1, c)]
+        ok = True
+        for _ in range(n - 1):
+            if r + 1 < len(lam) and lam[r + 1] >= c:
+                r += 1
+            else:
+                c -= 1
+                if c < 1:
+                    ok = False
+                    break
+            cells.append((r + 1, c))
+        if not ok:
+            continue
+        removed = [0] * len(lam)
+        for row, _ in cells:
+            removed[row - 1] += 1
+        new = [p - k for p, k in zip(lam, removed)]
+        if all(new[i] >= new[i + 1] for i in range(len(new) - 1)) and all(
+            p >= 0 for p in new
+        ):
+            out.append((tuple(cells), tuple(p for p in new if p)))
+    return out
+
+
+def beta_hook_results(lam: Partition, n: int) -> list[Partition]:
+    """Rim-hook removals via first-column hook lengths (beta numbers)."""
+    r = len(lam)
+    beta = [lam[i] + r - 1 - i for i in range(r)]
+    bset = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        if b - n >= 0 and b - n not in bset:
+            nb = sorted(beta, reverse=True)
+            nb[nb.index(b)] = b - n
+            nb.sort(reverse=True)
+            new = tuple(
+                p for p in (nb[j] - (r - 1 - j) for j in range(r)) if p > 0
+            )
+            out.append(new)
+    return out
+
+
+def n_core_walk(lam: Partition, n: int) -> tuple[Partition, int]:
+    """(n-core, n-weight) by removing the first rim hook found until none is left."""
+    weight = 0
+    cur = lam
+    while True:
+        hooks = rim_hooks(cur, n)
+        if not hooks:
+            return cur, weight
+        cur = hooks[0][1]
+        weight += 1

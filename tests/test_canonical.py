@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fcl import canonical
 from fcl.canonical import (
     decomposition_matrix,
     global_basis_vectors,
@@ -13,7 +14,9 @@ from fcl.canonical import (
     monomial_A,
     restriction_coeffs,
 )
+from fcl.cli import dispatch
 from fcl.crystal import e_tilde, eps_phi
+from fcl.errors import ConventionError
 from fcl.fock import FockVector
 from fcl.partitions import enumerate_partitions, n_core
 from fcl.qseries import LaurentPoly, q_int
@@ -42,6 +45,19 @@ def test_monomial_examples():
     got = monomial_A((3,), 2)
     assert got == FockVector(2, {(3,): one, (1, 1, 1): Q(1)})
     assert monomial_A((1,), 3) == FockVector.basis(3, (1,))
+
+
+def test_monomial_without_unit_leading_term_is_a_convention_error(monkeypatch, capsys):
+    # a divided power off by a factor q leaves the leading coefficient q, not 1
+    exact = canonical.divided_f
+    monkeypatch.setattr(canonical, "divided_f", lambda i, k, v: exact(i, k, v).scaled(Q(1)))
+    with pytest.raises(ConventionError, match="no unit dominance-triangular leading term"):
+        monomial_A((2, 1), 2)
+    global_basis_vectors.cache_clear()
+    assert dispatch(["canonical-basis", "--n", "2", "--m", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal convention violation: monomial for (2, 1) has no unit" in err
 
 
 def test_basis_m3():

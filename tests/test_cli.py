@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcl.cli import dispatch
 
@@ -121,6 +127,53 @@ def test_exit_code_n_below_two(capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert f"error: n must be at least 2 (q is a primitive n-th root of unity), got {n}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("chi --n 0", "argument --n: must be at least 2 (q is a primitive n-th root of unity), got 0"),
+        ("fow --n 1 --m 3", "argument --n: must be at least 2"),
+        ("fow --n 0 --m 2", "argument --n: must be at least 2"),
+        ("branching --n 0", "argument --n: must be at least 2"),
+        ("branching --L -3", "argument --L: must be nonnegative, got -3"),
+        ("branching --source fermionic --L -1", "argument --L: must be nonnegative, got -1"),
+        ("branching --source crystal --degree -1", "argument --degree: must be nonnegative"),
+        ("chi --n 2 --degree -1", "argument --degree: must be nonnegative, got -1"),
+        ("js-list --n 2 --weight -1", "argument --weight: must be nonnegative, got -1"),
+        ("crystal-graph --max-m -1", "argument --max-m: must be nonnegative, got -1"),
+        ("branching --target 1", "argument --target: must be two integers s,t"),
+        ("branching --target 1,x", "argument --target: must be two integers s,t"),
+        ("virasoro --degree -2", "argument --degree: must be nonnegative, got -2"),
+    ],
+)
+def test_invalid_argv_exits_2_in_domain_terms(capsys, argv, message):
+    assert dispatch(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+NONNEGATIVE_FLAGS = [
+    ("branching", "--L"),
+    ("branching", "--degree"),
+    ("chi", "--degree"),
+    ("abf", "--L"),
+    ("abf", "--degree"),
+    ("virasoro", "--degree"),
+    ("js-list", "--weight"),
+    ("crystal-graph", "--max-m"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NONNEGATIVE_FLAGS), st.integers(max_value=-1))
+def test_no_negative_size_exits_0(flag, value):
+    command, name = flag
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert dispatch([command, name, str(value)]) == 2
+    assert out.getvalue() == ""
 
 
 def test_exit_code_resource_cap(capsys, monkeypatch):

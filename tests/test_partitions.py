@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fcl.partitions import (
     Weight,
@@ -16,15 +18,15 @@ from fcl.partitions import (
     n_core,
     node_lists,
     parse_partition,
-    _beta_hook_results,
     remove_node,
     removable_nodes,
     residue_counts,
     residue_data,
-    rim_hooks,
+    rim_hook_count,
     weight_basics,
     weight_target_profile,
 )
+from oracles import beta_hook_results, n_core_walk, rim_hooks
 
 BIG = (16, 13, 11, 10, 9, 8, 7, 5, 2)
 
@@ -144,7 +146,7 @@ def test_rim_hooks_agree_with_beta_numbers():
         for lam in enumerate_partitions(m):
             for n in (2, 3, 4, 5):
                 walk = sorted(res for _, res in rim_hooks(lam, n))
-                beta = sorted(_beta_hook_results(lam, n))
+                beta = sorted(beta_hook_results(lam, n))
                 assert walk == beta, (lam, n)
 
 
@@ -173,6 +175,35 @@ def test_core_weight_size_identity_and_order_independence():
                     cur = hooks[-1][1]
                     w2 += 1
                 assert (cur, w2) == (core, w)
+
+
+def test_abacus_matches_the_rim_hook_walk():
+    for m in range(13):
+        for lam in enumerate_partitions(m):
+            for n in range(2, 7):
+                assert n_core(lam, n) == n_core_walk(lam, n), (lam, n)
+                assert rim_hook_count(lam, n) == len(rim_hooks(lam, n)), (lam, n)
+
+
+@st.composite
+def partitions_upto(draw, size):
+    parts: list[int] = []
+    while size and draw(st.booleans()):
+        parts.append(draw(st.integers(1, min([size, *parts[-1:]]))))
+        size -= parts[-1]
+    return tuple(parts)
+
+
+@given(partitions_upto(30), st.integers(2, 6))
+def test_abacus_matches_the_rim_hook_walk_up_to_30(lam, n):
+    assert n_core(lam, n) == n_core_walk(lam, n)
+    assert rim_hook_count(lam, n) == len(rim_hooks(lam, n))
+
+
+def test_core_rejects_n_below_two():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="core needs n >= 2"):
+            n_core((3, 1), n)
 
 
 def test_enumerate_examples():

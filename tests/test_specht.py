@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fcl.partitions import enumerate_partitions, removable_nodes
 from fcl.qseries import LaurentPoly
 from fcl.specht import (
@@ -8,12 +11,6 @@ from fcl.specht import (
     cyclotomic_poly,
     garnir,
     jucys_murphy,
-    mat_add,
-    mat_eq,
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
     parse_tableau,
     perm_length,
     precedes,
@@ -25,6 +22,7 @@ from fcl.specht import (
     t_minus,
     tableau_text,
 )
+from oracles import mat_add, mat_eq, mat_identity, mat_is_zero, mat_mul, mat_scale
 
 Q = LaurentPoly.q_power
 one = LaurentPoly.one()
@@ -219,6 +217,31 @@ def test_hecke_defining_relations():
 def test_rep_word_identity_and_braid():
     assert mat_eq(rep_word((3, 2), ()), mat_identity(5))
     assert mat_eq(rep_word((3, 2), (1, 2, 1)), rep_word((3, 2), (2, 1, 2)))
+
+
+SHAPES_UPTO_6 = [lam for m in range(2, 7) for lam in enumerate_partitions(m)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UPTO_6, ids=str)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_rep_word_is_the_dense_product(shape, data):
+    m = sum(shape)
+    word = tuple(data.draw(st.lists(st.integers(1, m - 1), max_size=6)))
+    assert rep_word(shape, word) == oracles.rep_word(shape, word)
+
+
+def test_rep_word_rejects_letters_out_of_range():
+    with pytest.raises(ValueError, match="out of range for m=5"):
+        rep_word((3, 2), (1, 5))
+
+
+@pytest.mark.parametrize("shape", SHAPES_UPTO_6, ids=str)
+def test_jucys_murphy_is_the_dense_sum(shape):
+    for k in range(2, sum(shape) + 1):
+        for use_v in (True, False):
+            want = oracles.jucys_murphy(shape, k, use_v)
+            assert jucys_murphy(shape, k, use_v) == want, (k, use_v)
 
 
 def _v_int(c: int) -> LaurentPoly:
