@@ -224,13 +224,14 @@ def fermionic_limit(
 def branching_series_stable(
     n: int, j: int, target: tuple[int, int], degree: int
 ) -> TruncatedSeries:
-    """Stabilized branching series by size-exact partition enumeration."""
+    """Stabilized branching series by counting edge-sum partitions of bounded
+    size."""
     prof = pt.weight_target_profile(n, j % n, tuple(sorted(target)))
     if prof is None:
         return TruncatedSeries({}, 1, degree)
     c, s0 = prof
-    pool = paths.js_partitions_upto(n, n * degree + max(s0, 0))
-    return TruncatedSeries(paths._profile_counts(n, j, c, pool), 1, degree)
+    hist = paths._class_histogram(n, n * degree + max(s0, 0))
+    return TruncatedSeries(paths._profile_counts(n, j, c, hist), 1, degree)
 
 
 def rocha_caridi(mparam: int, r: int, s: int, order: int) -> TruncatedSeries:

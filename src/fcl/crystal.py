@@ -247,13 +247,16 @@ def branching_series_crystal(
 
 
 def to_dot(graph: CrystalGraph) -> str:
-    """DOT rendering; irreducible-restriction nodes get peripheries=2."""
+    """DOT rendering; irreducible-restriction nodes get peripheries=2.
+
+    The marking needs n >= 2 (n-regularity); an n = 1 graph has no marks.
+    """
     from .paths import js_combinatorial
 
     lines = ["digraph crystal {"]
     for lam in graph.nodes:
         attrs = []
-        if pt.is_n_regular(lam, graph.n) and js_combinatorial(lam, graph.n):
+        if graph.n >= 2 and pt.is_n_regular(lam, graph.n) and js_combinatorial(lam, graph.n):
             attrs.append("peripheries=2")
         attr = (" [" + ",".join(attrs) + "]") if attrs else ""
         lines.append(f'  "{pt.format_partition(lam)}"{attr};')

@@ -9,8 +9,10 @@ the residues follow the ground pattern gamma(k) = k mod n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import partitions as pt
 from .errors import ResourceBoundError
@@ -139,6 +141,24 @@ def js_combinatorial(lam: pt.Partition, n: int) -> bool:
     return fow_classify(lam, n) is not None
 
 
+def _blocks_after(
+    n: int, block: tuple[int, int] | None, room: int, cap: int
+) -> list[tuple[int, int]]:
+    """The blocks that can follow `block` in an edge-sum chain, within `room`
+    nodes.
+
+    A block (v, a) is a rows of length v.  A chain starts (block None) with
+    any v <= cap and 0 < a < n; after (v', a') each smaller v is forced to
+    a = -(a' + v' - v) mod n by the edge-sum congruence, and a = 0 skips v.
+    """
+    if block is None:
+        return [(v, a) for v in range(1, min(cap, room) + 1) for a in range(1, n)
+                if v * a <= room]
+    v_prev, a_prev = block
+    return [(v, a) for v in range(min(v_prev - 1, room), 0, -1)
+            if (a := -(a_prev + v_prev - v) % n) and v * a <= room]
+
+
 @lru_cache(maxsize=None)
 def js_partitions_upto(
     n: int, max_size: int, max_part: int | None = None
@@ -148,27 +168,52 @@ def js_partitions_upto(
     The chain structure makes this sparse: given a part value, the edge-sum
     congruence determines the multiplicity of the next part value.
     """
-    out: list[pt.Partition] = [()]
-    cap = max_size if max_part is None else min(max_part, max_size)
+    out: list[pt.Partition] = []
+    cap = max_size if max_part is None else max_part
 
-    def expand(mults: list[tuple[int, int]], size: int):
-        out.append(tuple(v for v, a in mults for _ in range(a)))
-        v_prev, a_prev = mults[-1]
-        for v in range(v_prev - 1, 0, -1):
-            a = (-(a_prev + v_prev - v)) % n
-            if a == 0:
-                continue
-            if size + v * a > max_size:
-                continue
-            mults.append((v, a))
-            expand(mults, size + v * a)
-            mults.pop()
+    def expand(lam: pt.Partition, block, size: int):
+        out.append(lam)
+        for v, a in _blocks_after(n, block, max_size - size, cap):
+            expand(lam + (v,) * a, (v, a), size + v * a)
 
-    for v1 in range(1, cap + 1):
-        for a1 in range(1, n):
-            if v1 * a1 <= max_size:
-                expand([(v1, a1)], v1 * a1)
+    expand((), None, 0)
     return tuple(sorted(out, key=lambda lam: (sum(lam), tuple(-p for p in lam))))
+
+
+@lru_cache(maxsize=None)
+def _block_counts(n: int, row: int, v: int, a: int) -> tuple[int, ...]:
+    """Residue counts of a rows of length v, the first of them row `row` mod n."""
+    q, rem = divmod(v, n)
+    m = [q * a] * n
+    for r in range(row, row + a):
+        for k in range(rem):
+            m[(k - r) % n] += 1
+    return tuple(m)
+
+
+@lru_cache(maxsize=None)
+def _class_histogram(
+    n: int, max_size: int, max_part: int | None = None
+) -> tuple[tuple[tuple, int], ...]:
+    """((colour, residue counts), count) pairs: how many partitions of
+    js_partitions_upto(n, max_size, max_part) have that fow_classify colour
+    and those residue_counts.
+
+    Walks the same chains without listing them: the colour is read off the
+    first block and each block adds its residue counts.
+    """
+    hist: Counter = Counter()
+    cap = max_size if max_part is None else max_part
+
+    def expand(colour, m: tuple[int, ...], block, size: int, row: int):
+        hist[colour, m] += 1
+        for v, a in _blocks_after(n, block, max_size - size, cap):
+            expand(colour if block else (v - a) % n,
+                   tuple(map(add, m, _block_counts(n, row, v, a))),
+                   (v, a), size + v * a, (row + a) % n)
+
+    expand(ALL_J, (0,) * n, None, 0, 0)
+    return tuple(hist.items())
 
 
 def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
@@ -193,9 +238,9 @@ def chi_js_direct(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
 def branching_poly_paths(
     n: int, j: int, target: tuple[int, int], L: int, max_L: int = 24
 ) -> LaurentPoly:
-    """Finite branching polynomial by restricted-path enumeration.
+    """Finite branching polynomial by counting restricted paths.
 
-    Paths are enumerated through their highest-lift partitions: the length
+    Paths are counted through their highest-lift partitions: the length
     bound is the bound on the largest part, and the starting weight pins the
     residue-count profile.
     """
@@ -204,23 +249,22 @@ def branching_poly_paths(
     prof = pt.weight_target_profile(n, j % n, target)
     if prof is None:
         return LaurentPoly.zero()
-    pool = js_partitions_upto(n, (n - 1) * L * (L + 1) // 2, max_part=L)
-    return LaurentPoly(_profile_counts(n, j, prof[0], pool))
+    hist = _class_histogram(n, (n - 1) * L * (L + 1) // 2, max_part=L)
+    return LaurentPoly(_profile_counts(n, j, prof[0], hist))
 
 
 def _profile_counts(
-    n: int, j: int, c: tuple[int, ...], pool: tuple[pt.Partition, ...]
+    n: int, j: int, c: tuple[int, ...], hist: tuple[tuple[tuple, int], ...]
 ) -> dict[int, int]:
-    """E -> number of pool partitions of colour j (or empty) with m_i = E + c_i."""
+    """E -> number of histogram partitions of colour j (or empty) with
+    m_i = E + c_i."""
     out: dict[int, int] = {}
-    for lam in pool:
-        jj = fow_classify(lam, n)
-        if jj != ALL_J and jj != j % n:
+    for (colour, m), count in hist:
+        if colour != ALL_J and colour != j % n:
             continue
-        m = pt.residue_counts(lam, n)
         e = m[0]
         if all(m[i] == e + c[i] for i in range(n)):
-            out[e] = out.get(e, 0) + 1
+            out[e] = out.get(e, 0) + count
     return out
 
 

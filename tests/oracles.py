@@ -2,13 +2,17 @@
 
 Dense matrices over Z[v] (lists of rows of ``LaurentPoly``) with the plain
 triple-loop product, the generator-word and Jucys-Murphy matrices as dense
-products of ``rep_matrix``, and n-rim-hooks found by walking the rim, with
-the n-core obtained by removing them one at a time.
+products of ``rep_matrix``, n-rim-hooks found by walking the rim, with
+the n-core obtained by removing them one at a time, and branching counts
+that list the edge-sum partitions and classify them one by one.
 """
 
+from collections import Counter
+
 from fcl import specht
-from fcl.partitions import Partition, check_partition
-from fcl.qseries import LaurentPoly
+from fcl.partitions import Partition, check_partition, residue_counts, weight_target_profile
+from fcl.paths import ALL_J, fow_classify, js_partitions_upto
+from fcl.qseries import LaurentPoly, TruncatedSeries
 
 Matrix = list[list[LaurentPoly]]
 
@@ -136,3 +140,48 @@ def n_core_walk(lam: Partition, n: int) -> tuple[Partition, int]:
             return cur, weight
         cur = hooks[0][1]
         weight += 1
+
+
+def class_histogram(n: int, max_size: int, max_part: int | None = None) -> Counter:
+    """(colour, residue counts) of every listed edge-sum partition."""
+    return Counter(
+        (fow_classify(lam, n), residue_counts(lam, n))
+        for lam in js_partitions_upto(n, max_size, max_part)
+    )
+
+
+def profile_counts(
+    n: int, j: int, c: tuple[int, ...], pool: tuple[Partition, ...]
+) -> dict[int, int]:
+    """E -> number of pool partitions of colour j (or empty) with m_i = E + c_i."""
+    out: dict[int, int] = {}
+    for lam in pool:
+        jj = fow_classify(lam, n)
+        if jj != ALL_J and jj != j % n:
+            continue
+        m = residue_counts(lam, n)
+        e = m[0]
+        if all(m[i] == e + c[i] for i in range(n)):
+            out[e] = out.get(e, 0) + 1
+    return out
+
+
+def branching_poly_listed(n: int, j: int, target: tuple[int, int], L: int) -> LaurentPoly:
+    """Finite branching polynomial over the listed partitions with parts <= L."""
+    prof = weight_target_profile(n, j % n, target)
+    if prof is None:
+        return LaurentPoly.zero()
+    pool = js_partitions_upto(n, (n - 1) * L * (L + 1) // 2, max_part=L)
+    return LaurentPoly(profile_counts(n, j, prof[0], pool))
+
+
+def branching_series_listed(
+    n: int, j: int, target: tuple[int, int], degree: int
+) -> TruncatedSeries:
+    """Stabilized branching series over the listed partitions of bounded size."""
+    prof = weight_target_profile(n, j % n, tuple(sorted(target)))
+    if prof is None:
+        return TruncatedSeries({}, 1, degree)
+    c, s0 = prof
+    pool = js_partitions_upto(n, n * degree + max(s0, 0))
+    return TruncatedSeries(profile_counts(n, j, c, pool), 1, degree)

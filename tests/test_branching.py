@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcl.branching import (
     abf_closed,
@@ -16,6 +18,7 @@ from fcl.branching import (
 from fcl.crystal import crystal_graph
 from fcl.partitions import enumerate_partitions
 from fcl.paths import abf_sum_direct, branching_poly_paths, chi_js_direct
+from oracles import branching_series_listed
 
 SECTORS = {
     2: ((0, (0, 0)), (0, (1, 1)), (1, (0, 1))),
@@ -85,6 +88,29 @@ def test_crystal_counting_agrees_with_paths():
             a = branching_series_crystal(n, j, st, 6)
             b = branching_series_stable(n, j, st, 6)
             assert a.coeffs_upto(6) == b.coeffs_upto(6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_branching_series_is_the_listed_count(n):
+    nonzero = 0
+    for degree in range(27 // n + 1):
+        for j in range(n):
+            for s in range(n):
+                for t in range(s, n):
+                    got = branching_series_stable(n, j, (s, t), degree)
+                    assert got == branching_series_listed(n, j, (s, t), degree), (j, s, t)
+                    nonzero += bool(got.terms)
+    assert nonzero > 27 // n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 27), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4))
+def test_branching_series_is_the_listed_count_on_random_sectors(n, size, j, s, t):
+    degree = size // n
+    target = (s % n, t % n)
+    got = branching_series_stable(n, j % n, target, degree)
+    assert got == branching_series_listed(n, j % n, target, degree)
 
 
 def test_rocha_caridi_vacuum():

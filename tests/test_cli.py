@@ -89,6 +89,27 @@ def test_crystal_graph_dot(capsys):
     assert len(node_lines) == 5
 
 
+def test_crystal_graph_n1_full_in_every_format(capsys):
+    texts = {}
+    for fmt in ("dot", "text", "json"):
+        code, texts[fmt] = run(
+            capsys, "crystal-graph", "--n", "1", "--max-m", "2", "--full", "--format", fmt
+        )
+        assert code == 0, fmt
+    assert texts["text"].splitlines()[1:] == ["0 -0-> 1", "1 -0-> 1,1"]
+    assert '"1" -> "1,1" [label="0"];' in texts["dot"]
+    assert "peripheries" not in texts["dot"]
+    assert json.loads(texts["json"])["nodes"] == ["0", "1", "2", "1,1"]
+
+
+def test_crystal_graph_n1_component_exits_2_in_every_format(capsys):
+    for fmt in ("dot", "text", "json"):
+        assert dispatch(["crystal-graph", "--n", "1", "--max-m", "2", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "regularity needs n >= 2" in err
+
+
 def test_poly_text_form(capsys):
     code, out = run(
         capsys, "branching", "--n", "3", "--j", "0", "--target", "0,0",
@@ -183,6 +204,15 @@ def test_exit_code_resource_cap(capsys, monkeypatch):
     monkeypatch.delenv("FCL_MAX_DEGREE")
     assert dispatch(["crystal-graph", "--max-m", "8", "--max-nodes", "2"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", ["paths", "fermionic"])
+def test_path_cutoff_over_the_bound_exits_4(capsys, source):
+    argv = ["branching", "--n", "3", "--j", "0", "--target", "0,0", "--L", "25", "--source", source]
+    assert dispatch(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "path cutoff 25 exceeds bound 24" in err
 
 
 def test_deterministic_output(capsys):

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcl import paths
 from fcl.partitions import (
     enumerate_partitions,
     format_partition,
@@ -26,6 +29,7 @@ from fcl.paths import (
     to_path,
 )
 from fcl.qseries import LaurentPoly
+from oracles import branching_poly_listed, class_histogram
 
 EXAMPLE_WORD = PathWord((0, 0, 0, 1, 1, 0, 1, 1, 1, 0), 2)
 
@@ -116,6 +120,45 @@ def test_branching_poly_stabilization():
             vals = [polys[L].coeff(e) for L in (8, 12, 16)]
             assert vals[0] == vals[1] == vals[2]
             assert polys[4].coeff(e) <= vals[0]
+
+
+# Part-bounded pools: every cutoff up to the first bound, and the largest
+# cutoff whose listing oracle stays under about a second.
+HISTOGRAM_CUTOFFS = {2: (15, 24), 3: (12, 19), 4: (8, 16), 5: (6, 14)}
+
+
+@pytest.mark.parametrize("n", sorted(HISTOGRAM_CUTOFFS))
+def test_class_histogram_is_the_listed_classification(n):
+    small, largest = HISTOGRAM_CUTOFFS[n]
+    for L in (*range(small + 1), largest):
+        size = (n - 1) * L * (L + 1) // 2
+        assert dict(paths._class_histogram(n, size, L)) == class_histogram(n, size, L), L
+    for size in range(28):
+        assert dict(paths._class_histogram(n, size)) == class_histogram(n, size), size
+
+
+def _sectors(n):
+    """Every (j, (s, t)) with s <= t; the unreachable ones count nothing."""
+    return [(j, (s, t)) for j in range(n) for s in range(n) for t in range(s, n)]
+
+
+@pytest.mark.parametrize("n, top", [(2, 14), (3, 12), (4, 9), (5, 7)])
+def test_branching_poly_is_the_listed_count(n, top):
+    nonzero = 0
+    for L in range(top + 1):
+        for j, target in _sectors(n):
+            got = branching_poly_paths(n, j, target, L)
+            assert got == branching_poly_listed(n, j, target, L), (j, target, L)
+            nonzero += not got.is_zero()
+    assert nonzero > top
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4))
+def test_branching_poly_is_the_listed_count_on_random_sectors(n, L, j, s, t):
+    target = tuple(sorted((s % n, t % n)))
+    assert branching_poly_paths(n, j % n, target, L) == branching_poly_listed(n, j % n, target, L)
 
 
 def test_fow_partition_of_js():
