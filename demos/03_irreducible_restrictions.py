@@ -30,5 +30,5 @@ print()
 print("the same numbers from the constant-sign formula (sector j=0, target (1,2)):")
 fb = fermionic_poly(3, 0, (1, 2), 12)
 print("  polynomial:", fb.normalized.to_text())
-print("  recorded shift against the enumeration:", fb.shift)
+print("  normalizing shift q^max(0, s + t - n):", fb.shift)
 print("  stabilized series:", branching_series_stable(3, 0, (1, 2), 6).coeffs_upto(6))

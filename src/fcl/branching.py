@@ -2,8 +2,9 @@
 characters, height-model closed forms, and irreducible-restriction series
 through the rectangular-core identity.
 
-Rational exponents are exact; every closed form is checked (or aligned)
-against the direct enumeration, which is the authority on normalization.
+Rational exponents are exact.  The constant-sign sums are normalized by a
+fixed rule (see ``fermionic_poly``) and never consult the path enumeration;
+the tests compare the two.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from . import partitions as pt
 from . import paths
-from .errors import ConventionError
+from .errors import ConventionError, ResourceBoundError
 from .qseries import (
     LaurentPoly,
     TruncatedSeries,
@@ -71,10 +73,18 @@ class FermionicBranching:
     raw: LaurentPoly
     normalized: LaurentPoly
     shift: Fraction
-    reading: str  # "direct" or "swapped"
+    reading: str = "direct"  # the sum is read at the sorted target; the CLI prints it
 
 
-def _quadratic_exponent(cd: CartanData, m: list[int], e_st: tuple[int, ...],
+def _m_vectors(n: int, t: int, box: int):
+    """Nonnegative (n-1)-vectors m with entries below box and
+    t + sum(i*m_i) = 0 mod n, in lexicographic order."""
+    for m in product(range(box), repeat=n - 1):
+        if (t + sum(i * mi for i, mi in enumerate(m, 1))) % n == 0:
+            yield m
+
+
+def _quadratic_exponent(cd: CartanData, m: tuple[int, ...], e_st: tuple[int, ...],
                         s: int, t: int) -> Fraction:
     size = cd.n - 1
     expo = Fraction(s * t, cd.n)
@@ -91,126 +101,76 @@ def _fermionic_raw(n: int, s: int, t: int, L: int) -> LaurentPoly:
 
     Sum over nonnegative (n-1)-vectors m with t + sum(i*m_i) = 0 mod n of
     q^(m C^-1 m - m C^-1 e_(s-t+n) + st/n) prod binom(l_i + m_i, m_i), where
-    l = C^-1 (L e_(n-1) + e_r + e_(s-t+n) - 2m) and L - (s+t) = r mod n with
-    0 < r <= n.  Terms with any l_i < 0 vanish.
+    l = C^-1 (L e_(n-1) + e_r + e_(s-t+n) - 2m) and r = L - (s+t) mod n, with
+    e_0 = e_n = 0.  Terms with any l_i < 0 vanish.
     """
     cd = cartan(n)
     size = n - 1
-    r = (L - (s + t)) % n
-    if r == 0:
-        r = n
-    e_r = cd.unit(r)
     e_st = cd.unit(s - t + n)
-    base = tuple(
-        L * (1 if k == size - 1 else 0) + e_r[k] + e_st[k] for k in range(size)
-    )
+    e_r = cd.unit((L - s - t) % n)
+    base = tuple(L * u + a + b for u, a, b in zip(cd.unit(n - 1), e_r, e_st))
     box = L + n + 2
     out = LaurentPoly.zero()
-    boundary = False
-
-    def rec(m: list[int], k: int):
-        nonlocal out, boundary
-        if k == size:
-            if (t + sum((i + 1) * mi for i, mi in enumerate(m))) % n != 0:
-                return
-            lvec = []
-            for i in range(size):
-                acc = Fraction(0)
-                for kk in range(size):
-                    acc += cd.Cinv[i][kk] * (base[kk] - 2 * m[kk])
-                lvec.append(acc)
-            if any(l.denominator != 1 or l < 0 for l in lvec):
-                return
-            prod = LaurentPoly.one()
-            for i in range(size):
-                prod = prod * qbinom_lower(int(lvec[i]) + m[i], m[i])
-            if prod.is_zero():
-                return
-            if any(mi >= box - 1 for mi in m):
-                boundary = True
-            out = out + prod.shifted(_quadratic_exponent(cd, m, e_st, s, t))
-            return
-        for mi in range(box):
-            m.append(mi)
-            rec(m, k + 1)
-            m.pop()
-
-    rec([], 0)
-    if boundary:
-        raise ConventionError("fermionic sum touched the enumeration box boundary")
+    for m in _m_vectors(n, t, box):
+        lvec = [sum(cd.Cinv[i][k] * (base[k] - 2 * m[k]) for k in range(size))
+                for i in range(size)]
+        if any(l.denominator != 1 or l < 0 for l in lvec):
+            continue
+        if any(mi >= box - 1 for mi in m):
+            raise ConventionError("fermionic sum touched the enumeration box boundary")
+        prod = LaurentPoly.one()
+        for i in range(size):
+            prod = prod * qbinom_lower(int(lvec[i]) + m[i], m[i])
+        out = out + prod.shifted(_quadratic_exponent(cd, m, e_st, s, t))
     return out
+
+
+def _shift(n: int, s: int, t: int) -> int:
+    """The normalizing q-shift of target (s <= t): the raw sums start at q^s,
+    the branching functions at q^min(s, n - t)."""
+    return max(0, s + t - n)
 
 
 def fermionic_poly(
     n: int, j: int, target: tuple[int, int], L: int
 ) -> FermionicBranching:
-    """Constant-sign polynomial, aligned against the path enumeration.
+    """Constant-sign polynomial, normalized by a fixed rule.
 
-    The path oracle is authoritative: the raw rational-exponent polynomial is
-    shifted so its lowest term matches the enumeration, and a coefficient
-    mismatch raises after the swapped index reading has been tried.
+    The raw rational-exponent sum is divided by q^max(0, s + t - n) for the
+    sorted target (s, t); it vanishes exactly when no restricted path exists.
+    The tests pin this rule against the path enumeration for every sector.
     """
     s, t = sorted(target)
     if not (0 <= s <= t < n):
         raise ValueError("target must satisfy 0 <= s <= t < n")
     if (s + t - j) % n != 0:
         raise ValueError("target sector does not match j")
-    oracle = paths.branching_poly_paths(n, j, (s, t), L)
-    last_err = None
-    for reading, (ss, tt) in (("direct", (s, t)), ("swapped", (t, s))):
-        raw = _fermionic_raw(n, ss, tt, L)
-        if raw.is_zero() and oracle.is_zero():
-            return FermionicBranching(raw, raw, Fraction(0), reading)
-        if raw.is_zero() or oracle.is_zero():
-            last_err = f"{reading}: one side vanished"
-            continue
-        shift = raw.min_exp() - oracle.min_exp()
-        normalized = raw.shifted(-shift)
-        if normalized == oracle:
-            return FermionicBranching(raw, normalized, shift, reading)
-        last_err = f"{reading}: coefficients disagree with the path enumeration"
-    raise ConventionError(
-        f"fermionic formula mismatch for n={n}, j={j}, target={target}, L={L}: "
-        f"{last_err}"
-    )
+    if L > paths.MAX_L:
+        raise ResourceBoundError(f"path cutoff {L} exceeds bound {paths.MAX_L}")
+    raw = _fermionic_raw(n, s, t, L)
+    shift = Fraction(_shift(n, s, t) if not raw.is_zero() else 0)
+    return FermionicBranching(raw, raw.shifted(-shift), shift)
 
 
 def fermionic_limit(
     n: int, j: int, target: tuple[int, int], degree: int
 ) -> TruncatedSeries:
-    """Limit series of the constant-sign sum.
-
-    Aligned so its lowest term matches the stabilized enumeration series,
-    mirroring the polynomial normalization.
-    """
+    """Limit series of the constant-sign sum, normalized by the same rule as
+    ``fermionic_poly``; an unreachable sector gives the zero series."""
     s, t = sorted(target)
-    stable = branching_series_stable(n, j, (s, t), degree)
-    if not stable.terms:
-        return stable
+    if not (0 <= s <= t < n):
+        raise ValueError("target must satisfy 0 <= s <= t < n")
+    if (s + t - j) % n != 0:
+        return TruncatedSeries({}, 1, degree)
     cd = cartan(n)
-    size = n - 1
     e_st = cd.unit(s - t + n)
     # the quadratic form dominates: |m| large makes the exponent exceed the cap
     M = int(2 * n * isqrt(max(1, degree + 4)) + 2 * n * n + 4)
-    admissible: list[tuple[list[int], Fraction]] = []
-
-    def rec(m: list[int], k: int):
-        if k == size:
-            if (t + sum((i + 1) * mi for i, mi in enumerate(m))) % n != 0:
-                return
-            admissible.append((list(m), _quadratic_exponent(cd, m, e_st, s, t)))
-            return
-        for mi in range(M + 1):
-            m.append(mi)
-            rec(m, k + 1)
-            m.pop()
-
-    rec([], 0)
-    raw_min = min(expo for _, expo in admissible)
-    shift = raw_min - stable.min_exp()
-    cap = Fraction(degree) + shift
+    shift = _shift(n, s, t)
+    cap = Fraction(degree + shift)
     total = TruncatedSeries({}, 1, cap)
-    for m, expo in admissible:
+    for m in _m_vectors(n, t, M + 1):
+        expo = _quadratic_exponent(cd, m, e_st, s, t)
         if expo > cap:
             continue
         room = int(cap - expo)

@@ -224,6 +224,7 @@ def cmd_abf(args) -> str:
         series = branching.x_limit(args.L, args.a, args.b, args.c, args.degree)
         return _emit(series, args.format)
     if args.source == "closed":
+        _check_degree(args.m)
         poly = branching.abf_closed(args.L, args.a, args.b, args.c, args.m)
     else:
         poly = paths.abf_sum_direct(args.L, args.a, args.b, args.c, args.m)

@@ -231,21 +231,30 @@ def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
 
 def chi_js_direct(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     """Generating series counting irreducible restrictions by hook weight."""
-    terms = {d: len(js_members(n, core, d)) for d in range(degree + 1)}
+    if pt.n_core(core, n)[1] != 0:
+        raise ValueError(f"{core} is not an {n}-core")
+    terms: Counter = Counter()
+    for lam in js_partitions_upto(n, sum(core) + n * degree):
+        got_core, d = pt.n_core(lam, n)
+        if got_core == core:
+            terms[d] += 1
     return TruncatedSeries(terms, 1, degree)
 
 
-def branching_poly_paths(
-    n: int, j: int, target: tuple[int, int], L: int, max_L: int = 24
-) -> LaurentPoly:
+# The largest path cutoff L that both branching polynomials (paths and the
+# fermionic form) accept; the path walk below grows exponentially in L.
+MAX_L = 24
+
+
+def branching_poly_paths(n: int, j: int, target: tuple[int, int], L: int) -> LaurentPoly:
     """Finite branching polynomial by counting restricted paths.
 
     Paths are counted through their highest-lift partitions: the length
     bound is the bound on the largest part, and the starting weight pins the
     residue-count profile.
     """
-    if L > max_L:
-        raise ResourceBoundError(f"path cutoff {L} exceeds bound {max_L}")
+    if L > MAX_L:
+        raise ResourceBoundError(f"path cutoff {L} exceeds bound {MAX_L}")
     prof = pt.weight_target_profile(n, j % n, target)
     if prof is None:
         return LaurentPoly.zero()

@@ -314,25 +314,29 @@ def q_fact(k: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def gauss_balanced(m: int, k: int) -> LaurentPoly:
     """Balanced (bar-invariant) q-binomial; 0 outside 0 <= k <= m."""
-    if k < 0 or m < 0 or k > m:
-        return _ZERO
-    return q_fact(m).exact_div(q_fact(m - k)).exact_div(q_fact(k))
-
-
-@lru_cache(maxsize=None)
-def _pochhammer(k: int) -> LaurentPoly:
-    """(q)_k = (1-q)(1-q^2)...(1-q^k)."""
-    if k == 0:
-        return _ONE
-    return _pochhammer(k - 1) * LaurentPoly({0: 1, k: -1})
+    low = qbinom_lower(m, k)
+    return LaurentPoly._from_canonical({2 * e - k * (m - k): c for e, c in low.terms.items()})
 
 
 @lru_cache(maxsize=None)
 def qbinom_lower(m: int, k: int) -> LaurentPoly:
-    """Gaussian binomial in nonnegative powers; 0 outside 0 <= k <= m."""
+    """Gaussian binomial in nonnegative powers; 0 outside 0 <= k <= m.
+
+    Built as the product over i = 1..k of (1 - q^(m-k+i)) / (1 - q^i) on a
+    dense coefficient list: after pass i the list holds [m-k+i choose i].
+    """
     if k < 0 or m < 0 or k > m:
         return _ZERO
-    return _pochhammer(m).exact_div(_pochhammer(m - k)).exact_div(_pochhammer(k))
+    k = min(k, m - k)
+    top = k * (m - k)
+    coeffs = [1] + [0] * top
+    for i in range(1, k + 1):
+        a = m - k + i
+        for e in range(top, a - 1, -1):  # times (1 - q^a)
+            coeffs[e] -= coeffs[e - a]
+        for e in range(i, top + 1):  # divided by (1 - q^i)
+            coeffs[e] += coeffs[e - i]
+    return LaurentPoly._from_canonical(dict(enumerate(coeffs)))
 
 
 class TruncatedSeries:

@@ -3,8 +3,9 @@
 Dense matrices over Z[v] (lists of rows of ``LaurentPoly``) with the plain
 triple-loop product, the generator-word and Jucys-Murphy matrices as dense
 products of ``rep_matrix``, n-rim-hooks found by walking the rim, with
-the n-core obtained by removing them one at a time, and branching counts
-that list the edge-sum partitions and classify them one by one.
+the n-core obtained by removing them one at a time, branching counts
+that list the edge-sum partitions and classify them one by one, and
+Gaussian binomials as quotients of q-factorials by long division.
 """
 
 from collections import Counter
@@ -12,7 +13,7 @@ from collections import Counter
 from fcl import specht
 from fcl.partitions import Partition, check_partition, residue_counts, weight_target_profile
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
-from fcl.qseries import LaurentPoly, TruncatedSeries
+from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
 
 Matrix = list[list[LaurentPoly]]
 
@@ -185,3 +186,25 @@ def branching_series_listed(
     c, s0 = prof
     pool = js_partitions_upto(n, n * degree + max(s0, 0))
     return TruncatedSeries(profile_counts(n, j, c, pool), 1, degree)
+
+
+def pochhammer(k: int) -> LaurentPoly:
+    """(q)_k = (1-q)(1-q^2)...(1-q^k)."""
+    out = LaurentPoly.one()
+    for i in range(1, k + 1):
+        out = out * LaurentPoly({0: 1, i: -1})
+    return out
+
+
+def qbinom_lower_divided(m: int, k: int) -> LaurentPoly:
+    """(q)_m / (q)_(m-k) / (q)_k by two exact divisions; 0 outside 0 <= k <= m."""
+    if k < 0 or m < 0 or k > m:
+        return LaurentPoly.zero()
+    return pochhammer(m).exact_div(pochhammer(m - k)).exact_div(pochhammer(k))
+
+
+def gauss_balanced_divided(m: int, k: int) -> LaurentPoly:
+    """[m]! / [m-k]! / [k]! over balanced q-integers; 0 outside 0 <= k <= m."""
+    if k < 0 or m < 0 or k > m:
+        return LaurentPoly.zero()
+    return q_fact(m).exact_div(q_fact(m - k)).exact_div(q_fact(k))

@@ -18,6 +18,7 @@ from fcl.branching import (
 from fcl.crystal import crystal_graph
 from fcl.partitions import enumerate_partitions
 from fcl.paths import abf_sum_direct, branching_poly_paths, chi_js_direct
+from fcl.qseries import TruncatedSeries
 from oracles import branching_series_listed
 
 SECTORS = {
@@ -40,12 +41,41 @@ def test_cartan_data():
     assert cd.unit(4) == (0, 0, 0)  # out-of-range index means the zero vector
 
 
+# Path cutoffs per n for the sweep below: the fermionic sum walks a box of
+# (L + n + 2)^(n - 1) vectors, so n = 5 runs only the cutoff at which every
+# sector is nonzero.
+RULE_CUTOFFS = {2: range(13), 3: range(13), 4: range(9), 5: (4,)}
+
+
+def _assert_normalization_rule(n, j, target, L):
+    s, t = sorted(target)
+    fb = fermionic_poly(n, j, target, L)
+    oracle = branching_poly_paths(n, j, (s, t), L)
+    assert fb.normalized == oracle, (n, j, target, L)
+    assert fb.raw.is_zero() == oracle.is_zero(), (n, j, target, L)
+    if oracle.is_zero():
+        assert fb.shift == 0
+    else:
+        assert fb.raw.min_exp() == s, (n, j, target, L)
+        assert fb.shift == max(0, s + t - n), (n, j, target, L)
+
+
 def test_fermionic_matches_paths_up_to_L12():
-    for n, sectors in SECTORS.items():
-        for j, st in sectors:
-            for L in range(13):
-                fb = fermionic_poly(n, j, st, L)
-                assert fb.normalized == branching_poly_paths(n, j, st, L), (n, j, st, L)
+    # every sector (j, s <= t) of n = 2..5; j is fixed by s + t = j mod n
+    for n, cutoffs in RULE_CUTOFFS.items():
+        for s in range(n):
+            for t in range(s, n):
+                for L in cutoffs:
+                    _assert_normalization_rule(n, (s + t) % n, (s, t), L)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(n, s, t) for n in RULE_CUTOFFS for s in range(n) for t in range(n)]),
+       st.data())
+def test_fermionic_normalization_rule_on_random_sectors(target, data):
+    n, s, t = target  # unsorted targets too
+    L = data.draw(st.integers(0, max(RULE_CUTOFFS[n])))
+    _assert_normalization_rule(n, (s + t) % n, (s, t), L)
 
 
 def test_fermionic_shifts_recorded():
@@ -74,10 +104,17 @@ def test_fermionic_printed_series():
 
 
 def test_fermionic_limit_agrees_with_enumeration():
-    for (n, j, st) in ((2, 0, (0, 0)), (2, 1, (0, 1)), (3, 0, (1, 2)), (3, 1, (2, 2))):
-        lim = fermionic_limit(n, j, st, 6)
-        stable = branching_series_stable(n, j, st, 6)
-        assert lim.coeffs_upto(6) == stable.coeffs_upto(6), (n, j, st)
+    # n = 4 walks a box of 61^3 vectors per call, seconds each, so it is swept
+    # outside the suite
+    for n in (2, 3):
+        for s in range(n):
+            for t in range(s, n):
+                for degree in range(9):
+                    lim = fermionic_limit(n, (s + t) % n, (s, t), degree)
+                    assert lim == branching_series_stable(n, (s + t) % n, (s, t), degree)
+    assert fermionic_limit(3, 1, (0, 0), 4) == TruncatedSeries({}, 1, 4)  # unreachable
+    with pytest.raises(ValueError):
+        fermionic_limit(3, 2, (0, 5), 4)
 
 
 def test_crystal_counting_agrees_with_paths():

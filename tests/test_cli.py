@@ -204,6 +204,9 @@ def test_exit_code_resource_cap(capsys, monkeypatch):
     monkeypatch.delenv("FCL_MAX_DEGREE")
     assert dispatch(["crystal-graph", "--max-m", "8", "--max-nodes", "2"]) == 4
     capsys.readouterr()
+    assert dispatch(["abf", "--source", "closed", "--m", "65"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds FCL_MAX_DEGREE=64" in err
 
 
 @pytest.mark.parametrize("source", ["paths", "fermionic"])

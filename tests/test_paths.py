@@ -255,6 +255,18 @@ def test_chi_js_direct_goldens():
     assert chi_js_direct(3, (1, 1), 2).coeffs_upto(2) == [1, 1, 2]
 
 
+def test_chi_js_direct_counts_js_members():
+    for n in (2, 3, 4):
+        cores = [lam for m in range(7) for lam in enumerate_partitions(m)
+                 if n_core(lam, n)[1] == 0]
+        for core in cores:
+            for degree in (0, 3, 6):
+                want = [len(js_members(n, core, d)) for d in range(degree + 1)]
+                assert chi_js_direct(n, core, degree).coeffs_upto(degree) == want, (n, core)
+    with pytest.raises(ValueError):
+        chi_js_direct(3, (2, 1), 2)  # not a 3-core
+
+
 def test_abf_sum_examples():
     assert abf_sum_direct(4, 1, 1, 2, 0) == LaurentPoly.one()
     assert abf_sum_direct(4, 2, 1, 2, 0).is_zero()

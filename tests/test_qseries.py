@@ -16,6 +16,7 @@ from fcl.qseries import (
     q_int,
     qbinom_lower,
 )
+from oracles import gauss_balanced_divided, qbinom_lower_divided
 
 Q = LaurentPoly.q_power
 one = LaurentPoly.one()
@@ -62,6 +63,14 @@ def test_qbinom_lower_examples():
             b = qbinom_lower(m, k)
             assert b.is_poly()
             assert b.eval_one() == math.comb(m, k)
+
+
+def test_binomials_match_the_division_oracle():
+    cases = [(m, k) for m in range(21) for k in range(-1, m + 2)]
+    cases += [(m, k) for m in (33, 40) for k in (0, 1, 5, m // 2, m - 1, m)]
+    for m, k in cases:
+        assert qbinom_lower(m, k) == qbinom_lower_divided(m, k), (m, k)
+        assert gauss_balanced(m, k) == gauss_balanced_divided(m, k), (m, k)
 
 
 def test_inv_phi():
