@@ -18,13 +18,7 @@ from math import isqrt
 from . import partitions as pt
 from . import paths
 from .errors import ConventionError, ResourceBoundError
-from .qseries import (
-    LaurentPoly,
-    TruncatedSeries,
-    inv_phi,
-    inv_pochhammer,
-    qbinom_lower,
-)
+from .qseries import LaurentPoly, TruncatedSeries, inv_phi, q_product, qbinom_lower
 
 __all__ = [
     "CartanData",
@@ -139,15 +133,13 @@ def fermionic_poly(
     The raw rational-exponent sum is divided by q^max(0, s + t - n) for the
     sorted target (s, t); it vanishes exactly when no restricted path exists.
     The tests pin this rule against the path enumeration for every sector.
+    An unreachable sector gives the zero polynomial, as it does for the paths.
     """
+    reachable = pt.weight_target_profile(n, j % n, target) is not None
     s, t = sorted(target)
-    if not (0 <= s <= t < n):
-        raise ValueError("target must satisfy 0 <= s <= t < n")
-    if (s + t - j) % n != 0:
-        raise ValueError("target sector does not match j")
     if L > paths.MAX_L:
         raise ResourceBoundError(f"path cutoff {L} exceeds bound {paths.MAX_L}")
-    raw = _fermionic_raw(n, s, t, L)
+    raw = _fermionic_raw(n, s, t, L) if reachable else LaurentPoly.zero()
     shift = Fraction(_shift(n, s, t) if not raw.is_zero() else 0)
     return FermionicBranching(raw, raw.shifted(-shift), shift)
 
@@ -157,11 +149,9 @@ def fermionic_limit(
 ) -> TruncatedSeries:
     """Limit series of the constant-sign sum, normalized by the same rule as
     ``fermionic_poly``; an unreachable sector gives the zero series."""
-    s, t = sorted(target)
-    if not (0 <= s <= t < n):
-        raise ValueError("target must satisfy 0 <= s <= t < n")
-    if (s + t - j) % n != 0:
+    if pt.weight_target_profile(n, j % n, target) is None:
         return TruncatedSeries({}, 1, degree)
+    s, t = sorted(target)
     cd = cartan(n)
     e_st = cd.unit(s - t + n)
     # the quadratic form dominates: |m| large makes the exponent exceed the cap
@@ -173,10 +163,8 @@ def fermionic_limit(
         expo = _quadratic_exponent(cd, m, e_st, s, t)
         if expo > cap:
             continue
-        room = int(cap - expo)
-        term = TruncatedSeries({0: 1}, 1, room)
-        for mi in m:
-            term = term * inv_pochhammer(mi, room)
+        # prod 1/(q)_(m_i), one factor 1/(1 - q^b) for each b <= m_i
+        term = q_product((), [b for mi in m for b in range(1, mi + 1)], int(cap - expo))
         total = total + TruncatedSeries.from_poly(term.poly.shifted(expo), cap)
     return total.shifted(-shift).truncate(degree)
 
@@ -307,10 +295,4 @@ def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
 
 def principal_char(n: int, order: int) -> TruncatedSeries:
     """Product over exponents prime to the modulus; counts regular partitions."""
-    out = TruncatedSeries({0: 1}, 1, order)
-    for jj in range(1, order + 1):
-        if jj % n == 0:
-            continue
-        geo = TruncatedSeries({t * jj: 1 for t in range(order // jj + 1)}, 1, order)
-        out = out * geo
-    return out
+    return q_product((), [b for b in range(1, order + 1) if b % n], order)

@@ -340,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("tableaux", cmd_tableaux, help="standard tableaux of a shape")
     sp.add_argument("--shape", required=True)
-    sp.add_argument("--standard", action="store_true", default=True,
-                    help="standard tableaux (always on)")
 
     sp = add("js-list", cmd_js_list, help="irreducible-restriction labels by core and weight")
     sp.add_argument("--n", type=int, default=2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import partitions as pt
-from .errors import ResourceBoundError
+from .errors import ConventionError, ResourceBoundError
 from .qseries import TruncatedSeries
 
 __all__ = [
@@ -149,10 +149,6 @@ class CrystalGraph:
         return sorted((lam for lam in self.nodes if lam not in targets), reverse=True)
 
 
-def _node_order(lam: pt.Partition):
-    return (sum(lam), tuple(-p for p in lam))
-
-
 def crystal_graph(
     n: int,
     max_m: int,
@@ -161,54 +157,36 @@ def crystal_graph(
 ) -> CrystalGraph:
     """The crystal graph on partitions of weight <= max_m.
 
-    With component_of_empty=True only the component of the empty partition
-    is built (its node set is checked to be the n-regular partitions).
+    With component_of_empty=True the nodes are the n-regular partitions, and
+    they are checked to be the component of the empty partition: closed
+    under every f~_i, and every nonempty node reached by one.
     """
-    if component_of_empty:
-        level: list[pt.Partition] = [()]
-        nodes: list[pt.Partition] = [()]
-        edges = []
-        seen = {()}
-        for _ in range(max_m):
-            nxt = set()
-            for lam in level:
-                for i in range(n):
-                    mu = f_tilde(lam, n, i)
-                    if mu is not None and sum(mu) <= max_m:
-                        edges.append((lam, i, mu))
-                        nxt.add(mu)
-            level = sorted(nxt - seen, reverse=True)
-            seen |= nxt
-            nodes.extend(level)
-            if max_nodes is not None and len(nodes) > max_nodes:
-                raise ResourceBoundError(
-                    f"crystal graph exceeds {max_nodes} nodes at weight bound {max_m}"
-                )
-        for lam in nodes:
-            if not pt.is_n_regular(lam, n):
-                raise AssertionError(
-                    f"component of the empty partition contains irregular {lam}"
-                )
-    else:
-        nodes = [
-            lam
-            for m in range(max_m + 1)
-            for lam in pt.enumerate_partitions(m)
-        ]
+    if component_of_empty and n < 2:
+        raise ValueError("regularity needs n >= 2")
+    regular = n if component_of_empty else None
+    nodes: list[pt.Partition] = []
+    for m in range(max_m + 1):
+        nodes.extend(pt.enumerate_partitions(m, regular=regular))
         if max_nodes is not None and len(nodes) > max_nodes:
             raise ResourceBoundError(
                 f"crystal graph exceeds {max_nodes} nodes at weight bound {max_m}"
             )
-        edges = []
-        for lam in nodes:
-            if sum(lam) == max_m:
+    members = set(nodes)
+    edges = []
+    for lam in nodes:
+        if sum(lam) == max_m:
+            break
+        for i in range(n):
+            mu = f_tilde(lam, n, i)
+            if mu is None:
                 continue
-            for i in range(n):
-                mu = f_tilde(lam, n, i)
-                if mu is not None:
-                    edges.append((lam, i, mu))
-    nodes.sort(key=_node_order)
-    edges.sort(key=lambda e: (_node_order(e[0]), e[1]))
+            if mu not in members:
+                raise ConventionError(f"f~_{i} leads from {lam} out of the graph to {mu}")
+            edges.append((lam, i, mu))
+    if component_of_empty:
+        unreached = members - {mu for _, _, mu in edges} - {()}
+        if unreached:
+            raise ConventionError(f"no f~_i reaches {sorted(unreached)[0]}")
     return CrystalGraph(n, max_m, component_of_empty, nodes, edges)
 
 

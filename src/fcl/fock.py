@@ -30,7 +30,6 @@ __all__ = [
     "e_apply",
     "diag_apply",
     "divided_f",
-    "classical_apply",
     "relation_check",
     "RelationReport",
 ]
@@ -208,30 +207,6 @@ def divided_f(i: int, k: int, u: FockVector) -> FockVector:
         return v.map_coeffs(lambda c: c.exact_div(fact))
     except ExactDivisionError as exc:  # pragma: no cover - indicates a rule bug
         raise ExactDivisionError(f"divided power not exact at k={k}: {exc}") from exc
-
-
-def classical_apply(
-    kind: str, index: int, lam: pt.Partition, n: int | None = None
-) -> list[pt.Partition]:
-    """Classical (q=1) node operators.
-
-    With ``n=None``, ``index`` is an integer content and the operator moves
-    along a single edge (at most one result).  With ``n`` given, ``index`` is
-    a residue and the folded operator sums over all contents congruent to it.
-    """
-    if kind not in ("e", "f"):
-        raise ValueError("kind must be 'e' or 'f'")
-    if kind == "f":
-        nodes = pt.addable_nodes(lam)
-        move = pt.add_node
-    else:
-        nodes = pt.removable_nodes(lam)
-        move = pt.remove_node
-    if n is None:
-        picked = [nd for nd in nodes if nd.content == index]
-    else:
-        picked = [nd for nd in nodes if nd.residue(n) == index % n]
-    return [move(lam, nd) for nd in picked]
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Partition combinatorics and the affine type-A weight lattice.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
-partition is ``()``.  Nodes are 1-based (row, col) with content col - row.
-Default colouring assigns residue (content mod n); the colour-v variant is
-available where needed.
+partition is ``()``.  A node in the 1-based row r and column c has content
+c - r; its residue is (content + colour) mod n, colour 0 by default.  The
+i-nodes of a partition are read off its rim in one sweep (``_inodes``), and
+``_grown``/``_shrunk`` add or remove the node at the end of a row.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from operator import add
 
 __all__ = [
     "Partition",
-    "Node",
     "Weight",
     "check_partition",
     "parse_partition",
@@ -24,10 +24,6 @@ __all__ = [
     "is_n_regular",
     "residue_counts",
     "residue_data",
-    "addable_nodes",
-    "removable_nodes",
-    "node_lists",
-    "content_lists",
     "n_core",
     "rim_hook_count",
     "enumerate_partitions",
@@ -38,15 +34,6 @@ __all__ = [
 ]
 
 Partition = tuple[int, ...]
-
-
-class Node(NamedTuple):
-    row: int
-    col: int
-    content: int
-
-    def residue(self, n: int, colour: int = 0) -> int:
-        return (self.content + colour) % n
 
 
 def check_partition(parts) -> Partition:
@@ -63,15 +50,20 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if text in ("", "0", "∅", "[]", "()"):
         return ()
-    parts: list[int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "^" in tok:
-            v, a = tok.split("^")
-            parts.extend([int(v)] * int(a))
-        else:
-            parts.append(int(tok))
-    return check_partition(parts)
+    try:
+        parts: list[int] = []
+        for tok in text.split(","):
+            value, hat, count = tok.partition("^")
+            count = int(count) if hat else 1
+            if count < 0:
+                raise ValueError
+            parts.extend([int(value)] * count)
+        return check_partition(parts)
+    except ValueError:
+        raise ValueError(
+            f"{text!r} is not a partition: give weakly decreasing positive parts"
+            " separated by commas, a repeated part as value^count (3^2,1 is 3,3,1)"
+        ) from None
 
 
 def format_partition(lam: Partition) -> str:
@@ -101,22 +93,25 @@ def is_n_regular(lam: Partition, n: int) -> bool:
     return all(a < n for _, a in multiplicities(lam))
 
 
-def _row_residue_count(start_content: int, length: int, r: int, n: int) -> int:
-    """Number of x in [0, length) with (start_content + x) % n == r."""
-    off = (r - start_content) % n
-    if off >= length:
-        return 0
-    return (length - off + n - 1) // n
+@lru_cache(maxsize=None)
+def _block_counts(n: int, row: int, v: int, a: int) -> tuple[int, ...]:
+    """Residue counts of a rows of length v, the first of them 0-based row `row` mod n."""
+    q, rem = divmod(v, n)
+    m = [q * a] * n
+    for r in range(row, row + a):
+        for k in range(rem):
+            m[(k - r) % n] += 1
+    return tuple(m)
 
 
 def residue_counts(lam: Partition, n: int, colour: int = 0) -> tuple[int, ...]:
     """Multiplicity of each residue among the nodes, colour-v colouring."""
-    m = [0] * n
-    for i, p in enumerate(lam):
-        c0 = colour - i  # content + colour of the first node in row i+1
-        for r in range(n):
-            m[r] += _row_residue_count(c0, p, r, n)
-    return tuple(m)
+    m = (0,) * n
+    row = -colour  # colour v shifts every residue by v, as moving up v rows does
+    for v, a in multiplicities(lam):
+        m = tuple(map(add, m, _block_counts(n, row % n, v, a)))
+        row += a
+    return m
 
 
 @dataclass(frozen=True)
@@ -140,9 +135,6 @@ class Weight:
     def pair_h(self, i: int) -> int:
         """Pairing with the coroot h_i."""
         return self.fund[i % self.n]
-
-    def fund_part(self) -> "Weight":
-        return Weight(self.n, self.fund, 0)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(
@@ -212,24 +204,6 @@ def residue_data(lam: Partition, n: int) -> tuple[tuple[int, ...], int, Weight]:
     return m, m[0], wt
 
 
-def addable_nodes(lam: Partition) -> list[Node]:
-    """All addable nodes, in increasing column order."""
-    out = [Node(len(lam) + 1, 1, -len(lam))]
-    for i, p in enumerate(lam):
-        if i == 0 or lam[i - 1] > p:
-            out.append(Node(i + 1, p + 1, p + 1 - (i + 1)))
-    return sorted(out, key=lambda nd: nd.col)
-
-
-def removable_nodes(lam: Partition) -> list[Node]:
-    """All removable nodes, in increasing column order."""
-    out = []
-    for i, p in enumerate(lam):
-        if i == len(lam) - 1 or lam[i + 1] < p:
-            out.append(Node(i + 1, p, p - (i + 1)))
-    return sorted(out, key=lambda nd: nd.col)
-
-
 def _inodes(lam: Partition, n: int, i: int) -> list[tuple[int, int, int]]:
     """The i-nodes of lam as (row, col, sign) in increasing column order.
 
@@ -262,34 +236,6 @@ def _grown(lam: Partition, r: int) -> Partition:
 def _shrunk(lam: Partition, r: int) -> Partition:
     """lam without the last node of the 0-based row r."""
     return lam[:r] + (lam[r] - 1,) + lam[r + 1 :] if lam[r] > 1 else lam[:r]
-
-
-def node_lists(lam: Partition, n: int, i: int) -> tuple[list[Node], list[Node]]:
-    """(addable i-nodes, removable i-nodes), increasing column order."""
-    add, rem = [], []
-    for r, c, s in _inodes(lam, n, i):
-        (add if s > 0 else rem).append(Node(r + 1, c, c - r - 1))
-    return add, rem
-
-
-def content_lists(lam: Partition) -> tuple[list[int], list[int]]:
-    """(addable contents, removable contents), integer contents, ascending."""
-    return (
-        sorted(nd.content for nd in addable_nodes(lam)),
-        sorted(nd.content for nd in removable_nodes(lam)),
-    )
-
-
-def add_node(lam: Partition, nd: Node) -> Partition:
-    rows = list(lam) + [0]
-    rows[nd.row - 1] += 1
-    return tuple(p for p in rows if p)
-
-
-def remove_node(lam: Partition, nd: Node) -> Partition:
-    rows = list(lam)
-    rows[nd.row - 1] -= 1
-    return tuple(p for p in rows if p)
 
 
 def _beads(lam: Partition) -> list[int]:
@@ -331,9 +277,7 @@ def rim_hook_count(lam: Partition, n: int) -> int:
     return sum(1 for b in beads if b >= n and b - n not in beads)
 
 
-def enumerate_partitions(
-    m: int, regular: int | None = None, max_part: int | None = None
-) -> list[Partition]:
+def enumerate_partitions(m: int, regular: int | None = None) -> list[Partition]:
     """All partitions of m in descending lexicographic order.
 
     With ``regular=n``, only n-regular partitions are kept.
@@ -360,7 +304,7 @@ def enumerate_partitions(
             rec(remaining - p, p, acc)
             acc.pop()
 
-    rec(m, m if max_part is None else min(m, max_part), [])
+    rec(m, m, [])
     return out
 
 
@@ -392,9 +336,11 @@ def weight_target_profile(
     For the target Lambda_s + Lambda_t inside V(Lambda_j) x V(Lambda_0), a
     contributing partition has residue counts m_i = E + c_i with c_0 = 0.
     Returns (c, sum(c)) or None when the target is unreachable (including
-    j != s + t mod n).
+    j != s + t mod n).  A target index outside 0..n-1 is a ValueError.
     """
     s, t = target
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"target {s},{t} needs both indices in 0..n-1 = 0..{n - 1}")
     if (s + t - j) % n != 0:
         return None
     T = [0] * n

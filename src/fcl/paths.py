@@ -181,17 +181,6 @@ def js_partitions_upto(
 
 
 @lru_cache(maxsize=None)
-def _block_counts(n: int, row: int, v: int, a: int) -> tuple[int, ...]:
-    """Residue counts of a rows of length v, the first of them row `row` mod n."""
-    q, rem = divmod(v, n)
-    m = [q * a] * n
-    for r in range(row, row + a):
-        for k in range(rem):
-            m[(k - r) % n] += 1
-    return tuple(m)
-
-
-@lru_cache(maxsize=None)
 def _class_histogram(
     n: int, max_size: int, max_part: int | None = None
 ) -> tuple[tuple[tuple, int], ...]:
@@ -209,7 +198,7 @@ def _class_histogram(
         hist[colour, m] += 1
         for v, a in _blocks_after(n, block, max_size - size, cap):
             expand(colour if block else (v - a) % n,
-                   tuple(map(add, m, _block_counts(n, row, v, a))),
+                   tuple(map(add, m, pt._block_counts(n, row, v, a))),
                    (v, a), size + v * a, (row + a) % n)
 
     expand(ALL_J, (0,) * n, None, 0, 0)
@@ -253,9 +242,9 @@ def branching_poly_paths(n: int, j: int, target: tuple[int, int], L: int) -> Lau
     bound is the bound on the largest part, and the starting weight pins the
     residue-count profile.
     """
+    prof = pt.weight_target_profile(n, j % n, target)
     if L > MAX_L:
         raise ResourceBoundError(f"path cutoff {L} exceeds bound {MAX_L}")
-    prof = pt.weight_target_profile(n, j % n, target)
     if prof is None:
         return LaurentPoly.zero()
     hist = _class_histogram(n, (n - 1) * L * (L + 1) // 2, max_part=L)

@@ -22,6 +22,7 @@ __all__ = [
     "q_fact",
     "gauss_balanced",
     "qbinom_lower",
+    "q_product",
     "phi",
     "inv_phi",
     "inv_pochhammer",
@@ -120,9 +121,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return Fraction(max(self.terms), self.den)
-
-    def support(self) -> list[Fraction]:
-        return [Fraction(n, self.den) for n in sorted(self.terms)]
 
     def is_bar_invariant(self) -> bool:
         return all(self.terms.get(-n, 0) == c for n, c in self.terms.items())
@@ -322,21 +320,13 @@ def gauss_balanced(m: int, k: int) -> LaurentPoly:
 def qbinom_lower(m: int, k: int) -> LaurentPoly:
     """Gaussian binomial in nonnegative powers; 0 outside 0 <= k <= m.
 
-    Built as the product over i = 1..k of (1 - q^(m-k+i)) / (1 - q^i) on a
-    dense coefficient list: after pass i the list holds [m-k+i choose i].
+    The product over i = 1..k of (1 - q^(m-k+i)) / (1 - q^i), a polynomial
+    of degree k(m-k).
     """
     if k < 0 or m < 0 or k > m:
         return _ZERO
     k = min(k, m - k)
-    top = k * (m - k)
-    coeffs = [1] + [0] * top
-    for i in range(1, k + 1):
-        a = m - k + i
-        for e in range(top, a - 1, -1):  # times (1 - q^a)
-            coeffs[e] -= coeffs[e - a]
-        for e in range(i, top + 1):  # divided by (1 - q^i)
-            coeffs[e] += coeffs[e - i]
-    return LaurentPoly._from_canonical(dict(enumerate(coeffs)))
+    return q_product(range(m - k + 1, m + 1), range(1, k + 1), k * (m - k)).poly
 
 
 class TruncatedSeries:
@@ -427,32 +417,35 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.to_text()!r})"
 
 
+def q_product(num, den, order: int) -> TruncatedSeries:
+    """prod (1 - q^a) / prod (1 - q^b) over a in num and b in den, up to q^order.
+
+    The one product kernel, on a dense coefficient list: each factor
+    (1 - q^a) is a backward pass over it, each 1/(1 - q^b) = 1 + q^b + ...
+    a forward one.
+    """
+    coeffs = [1] + [0] * order
+    for a in num:
+        for e in range(order, a - 1, -1):
+            coeffs[e] -= coeffs[e - a]
+    for b in den:
+        for e in range(b, order + 1):
+            coeffs[e] += coeffs[e - b]
+    return TruncatedSeries(dict(enumerate(coeffs)), 1, order)
+
+
 def phi(order: int) -> TruncatedSeries:
     """The Euler product (1-q)(1-q^2)... truncated at the given order."""
-    out = TruncatedSeries({0: 1}, 1, order)
-    for n in range(1, order + 1):
-        out = out * LaurentPoly({0: 1, n: -1})
-    return out
+    return q_product(range(1, order + 1), (), order)
 
 
 def inv_phi(order: int) -> TruncatedSeries:
     """1/phi(q); the q^k coefficient is the number of partitions of k."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    # p(k) via the classical bounded-part recurrence
-    table = [[0] * (order + 1) for _ in range(order + 1)]
-    for j in range(order + 1):
-        table[j][0] = 1
-    for j in range(1, order + 1):
-        for k in range(1, order + 1):
-            table[j][k] = table[j - 1][k] + (table[j][k - j] if k >= j else 0)
-    return TruncatedSeries({k: table[order][k] for k in range(order + 1)}, 1, order)
+    return q_product((), range(1, order + 1), order)
 
 
 def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
     """1/(q)_k truncated at the given order."""
-    out = TruncatedSeries({0: 1}, 1, order)
-    for j in range(1, k + 1):
-        geo = TruncatedSeries({t * j: 1 for t in range(order // j + 1)}, 1, order)
-        out = out * geo
-    return out
+    return q_product((), range(1, k + 1), order)

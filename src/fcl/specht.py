@@ -22,9 +22,7 @@ __all__ = [
     "parse_tableau",
     "t_minus",
     "standard_tableaux",
-    "is_row_standard",
     "is_column_standard",
-    "is_standard",
     "column_word",
     "precedes",
     "perm_length",
@@ -75,20 +73,12 @@ def t_minus(shape: pt.Partition) -> Tableau:
     return tuple(tuple(row) for row in grid)
 
 
-def is_row_standard(t: Tableau) -> bool:
-    return all(row[i] < row[i + 1] for row in t for i in range(len(row) - 1))
-
-
 def is_column_standard(t: Tableau) -> bool:
     for r in range(len(t) - 1):
         for c in range(len(t[r + 1])):
             if t[r][c] > t[r + 1][c]:
                 return False
     return True
-
-
-def is_standard(t: Tableau) -> bool:
-    return is_row_standard(t) and is_column_standard(t)
 
 
 def _entry_rows(t: Tableau) -> dict[int, int]:
@@ -426,27 +416,11 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients of the k-th cyclotomic polynomial, ascending degree."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    num = [-1] + [0] * (k - 1) + [1]  # v^k - 1
+    num = LaurentPoly({0: -1, k: 1})  # v^k - 1
     for d in range(1, k):
         if k % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for top in range(len(num) - 1, len(den) - 2, -1):
-        q, r = divmod(num[top], den[-1])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        pos = top - (len(den) - 1)
-        out[pos] = q
-        for j, dc in enumerate(den):
-            num[pos + j] -= q * dc
-    if any(num):
-        raise ArithmeticError("nonzero remainder in cyclotomic division")
-    return out
+            num = num.exact_div(LaurentPoly(dict(enumerate(cyclotomic_poly(d)))))
+    return tuple(num.terms.get(e, 0) for e in range(max(num.terms) + 1))
 
 
 def _reduce_cyclotomic(p: LaurentPoly, k: int) -> tuple[int, ...]:

@@ -3,15 +3,20 @@
 Dense matrices over Z[v] (lists of rows of ``LaurentPoly``) with the plain
 triple-loop product, the generator-word and Jucys-Murphy matrices as dense
 products of ``rep_matrix``, n-rim-hooks found by walking the rim, with
-the n-core obtained by removing them one at a time, branching counts
-that list the edge-sum partitions and classify them one by one, and
-Gaussian binomials as quotients of q-factorials by long division.
+the n-core obtained by removing them one at a time, residue counts row by
+row, branching counts that list the edge-sum partitions and classify them
+one by one, Gaussian binomials as quotients of q-factorials by long
+division, q-products as repeated ``TruncatedSeries`` products, the node
+model of addable and removable ``Node``s with the classical (q = 1) node
+operators, the signature reduced by deleting RA pairs and rescanning, and
+the crystal graph grown by breadth-first f~_i steps.
 """
 
 from collections import Counter
+from typing import NamedTuple
 
 from fcl import specht
-from fcl.partitions import Partition, check_partition, residue_counts, weight_target_profile
+from fcl.partitions import Partition, check_partition, enumerate_partitions, weight_target_profile
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
 from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
 
@@ -146,7 +151,7 @@ def n_core_walk(lam: Partition, n: int) -> tuple[Partition, int]:
 def class_histogram(n: int, max_size: int, max_part: int | None = None) -> Counter:
     """(colour, residue counts) of every listed edge-sum partition."""
     return Counter(
-        (fow_classify(lam, n), residue_counts(lam, n))
+        (fow_classify(lam, n), residue_counts_by_row(lam, n))
         for lam in js_partitions_upto(n, max_size, max_part)
     )
 
@@ -160,7 +165,7 @@ def profile_counts(
         jj = fow_classify(lam, n)
         if jj != ALL_J and jj != j % n:
             continue
-        m = residue_counts(lam, n)
+        m = residue_counts_by_row(lam, n)
         e = m[0]
         if all(m[i] == e + c[i] for i in range(n)):
             out[e] = out.get(e, 0) + 1
@@ -208,3 +213,173 @@ def gauss_balanced_divided(m: int, k: int) -> LaurentPoly:
     if k < 0 or m < 0 or k > m:
         return LaurentPoly.zero()
     return q_fact(m).exact_div(q_fact(m - k)).exact_div(q_fact(k))
+
+
+def residue_counts_by_row(lam: Partition, n: int, colour: int = 0) -> tuple[int, ...]:
+    """Residue multiplicities summed row by row and residue by residue."""
+    m = [0] * n
+    for i, p in enumerate(lam):
+        c0 = colour - i  # content + colour of the first node in row i+1
+        for r in range(n):
+            off = (r - c0) % n  # nodes x in [0, p) with (c0 + x) % n == r
+            if off < p:
+                m[r] += (p - off + n - 1) // n
+    return tuple(m)
+
+
+def geometric_product(exponents, order: int) -> TruncatedSeries:
+    """The product of the series 1 + q^b + q^2b + ... over b in exponents."""
+    out = TruncatedSeries({0: 1}, 1, order)
+    for b in exponents:
+        out = out * TruncatedSeries({t * b: 1 for t in range(order // b + 1)}, 1, order)
+    return out
+
+
+def euler_product(order: int) -> TruncatedSeries:
+    """(1-q)(1-q^2)... as a product of binomials, truncated at the order."""
+    out = TruncatedSeries({0: 1}, 1, order)
+    for a in range(1, order + 1):
+        out = out * LaurentPoly({0: 1, a: -1})
+    return out
+
+
+def partition_counts(order: int) -> TruncatedSeries:
+    """Sum of p(k) q^k, p(k) from the bounded-part recurrence table."""
+    table = [[0] * (order + 1) for _ in range(order + 1)]
+    for j in range(order + 1):
+        table[j][0] = 1
+    for j in range(1, order + 1):
+        for k in range(1, order + 1):
+            table[j][k] = table[j - 1][k] + (table[j][k - j] if k >= j else 0)
+    return TruncatedSeries({k: table[order][k] for k in range(order + 1)}, 1, order)
+
+
+class Node(NamedTuple):
+    row: int
+    col: int
+    content: int
+
+    def residue(self, n: int, colour: int = 0) -> int:
+        return (self.content + colour) % n
+
+
+def addable_nodes(lam: Partition) -> list[Node]:
+    """All addable nodes (1-based), in increasing column order."""
+    out = [Node(len(lam) + 1, 1, -len(lam))]
+    for i, p in enumerate(lam):
+        if i == 0 or lam[i - 1] > p:
+            out.append(Node(i + 1, p + 1, p + 1 - (i + 1)))
+    return sorted(out, key=lambda nd: nd.col)
+
+
+def removable_nodes(lam: Partition) -> list[Node]:
+    """All removable nodes (1-based), in increasing column order."""
+    out = []
+    for i, p in enumerate(lam):
+        if i == len(lam) - 1 or lam[i + 1] < p:
+            out.append(Node(i + 1, p, p - (i + 1)))
+    return sorted(out, key=lambda nd: nd.col)
+
+
+def node_lists(lam: Partition, n: int, i: int) -> tuple[list[Node], list[Node]]:
+    """(addable i-nodes, removable i-nodes), increasing column order."""
+    return (
+        [nd for nd in addable_nodes(lam) if nd.residue(n) == i % n],
+        [nd for nd in removable_nodes(lam) if nd.residue(n) == i % n],
+    )
+
+
+def content_lists(lam: Partition) -> tuple[list[int], list[int]]:
+    """(addable contents, removable contents), ascending."""
+    return (
+        sorted(nd.content for nd in addable_nodes(lam)),
+        sorted(nd.content for nd in removable_nodes(lam)),
+    )
+
+
+def add_node(lam: Partition, nd: Node) -> Partition:
+    rows = list(lam) + [0]
+    rows[nd.row - 1] += 1
+    return tuple(p for p in rows if p)
+
+
+def remove_node(lam: Partition, nd: Node) -> Partition:
+    rows = list(lam)
+    rows[nd.row - 1] -= 1
+    return tuple(p for p in rows if p)
+
+
+def classical_apply(kind: str, index: int, lam: Partition, n: int | None = None) -> list[Partition]:
+    """Classical (q = 1) node operators.
+
+    With ``n=None``, ``index`` is an integer content and the operator moves
+    along a single edge (at most one result).  With ``n`` given, ``index`` is
+    a residue and the folded operator sums over all contents congruent to it.
+    """
+    if kind not in ("e", "f"):
+        raise ValueError("kind must be 'e' or 'f'")
+    nodes, move = (addable_nodes, add_node) if kind == "f" else (removable_nodes, remove_node)
+    if n is None:
+        picked = [nd for nd in nodes(lam) if nd.content == index]
+    else:
+        picked = [nd for nd in nodes(lam) if nd.residue(n) == index % n]
+    return [move(lam, nd) for nd in picked]
+
+
+def restart_signature(lam: Partition, n: int, i: int):
+    """Delete the first adjacent RA pair and rescan, until none is left.
+
+    Returns (word, reduced word, good removable node, good addable node).
+    """
+    add, rem = node_lists(lam, n, i)
+    raw = sorted([("A", nd) for nd in add] + [("R", nd) for nd in rem], key=lambda t: t[1].col)
+    word = list(raw)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(word) - 1):
+            if word[k][0] == "R" and word[k + 1][0] == "A":
+                del word[k : k + 2]
+                changed = True
+                break
+    removals = [nd for s, nd in word if s == "R"]
+    addables = [nd for s, nd in word if s == "A"]
+
+    def text(w):
+        return " ".join(f"{s}{nd.col}" for s, nd in w)
+
+    return (
+        text(raw),
+        text(word),
+        removals[0] if removals else None,
+        addables[-1] if addables else None,
+    )
+
+
+def crystal_graph_bfs(n: int, max_m: int, component_of_empty: bool = True):
+    """(nodes, edges) of the crystal graph on partitions of weight <= max_m.
+
+    Grown by f~_i steps (the good addable node of ``restart_signature``)
+    breadth first from the empty partition, or from every partition.
+    """
+    if component_of_empty:
+        frontier = [()]
+    else:
+        frontier = [lam for m in range(max_m + 1) for lam in enumerate_partitions(m)]
+    nodes, edges = set(frontier), set()
+    while frontier:
+        grown = []
+        for lam in frontier:
+            if sum(lam) == max_m:
+                continue
+            for i in range(n):
+                good = restart_signature(lam, n, i)[3]
+                if good is None:
+                    continue
+                mu = add_node(lam, good)
+                edges.add((lam, i, mu))
+                if mu not in nodes:
+                    nodes.add(mu)
+                    grown.append(mu)
+        frontier = grown
+    return nodes, edges

@@ -19,7 +19,7 @@ from fcl.crystal import crystal_graph
 from fcl.partitions import enumerate_partitions
 from fcl.paths import abf_sum_direct, branching_poly_paths, chi_js_direct
 from fcl.qseries import TruncatedSeries
-from oracles import branching_series_listed
+from oracles import branching_series_listed, geometric_product
 
 SECTORS = {
     2: ((0, (0, 0)), (0, (1, 1)), (1, (0, 1))),
@@ -113,8 +113,22 @@ def test_fermionic_limit_agrees_with_enumeration():
                     lim = fermionic_limit(n, (s + t) % n, (s, t), degree)
                     assert lim == branching_series_stable(n, (s + t) % n, (s, t), degree)
     assert fermionic_limit(3, 1, (0, 0), 4) == TruncatedSeries({}, 1, 4)  # unreachable
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs both indices in 0..n-1"):
         fermionic_limit(3, 2, (0, 5), 4)
+
+
+def test_fermionic_unreachable_sector_is_zero():
+    for n in (2, 3, 4):
+        for j in range(n):
+            for s in range(n):
+                for t in range(n):
+                    if (s + t - j) % n:
+                        fb = fermionic_poly(n, j, (s, t), 6)
+                        assert fb.raw.is_zero() and fb.normalized.is_zero() and fb.shift == 0
+                        assert branching_poly_paths(n, j, (s, t), 6).is_zero()
+    for source in (fermionic_poly, branching_poly_paths):
+        with pytest.raises(ValueError, match="needs both indices in 0..n-1"):
+            source(3, 0, (3, 0), 6)
 
 
 def test_crystal_counting_agrees_with_paths():
@@ -274,6 +288,13 @@ def test_x_limit_matches_minimal_model_characters():
                 rs = (r, s) if (r, s) in matches else (3 - r, 4 - s)
                 assert (r, s) in matches or (3 - r, 4 - s) in matches, (a, b, c)
                 assert rs in matches
+
+
+def test_principal_char_is_the_series_product():
+    for n in range(1, 7):
+        full = geometric_product([b for b in range(1, 31) if b % n], 30)
+        for order in range(31):
+            assert principal_char(n, order) == full.truncate(order), (n, order)
 
 
 def test_principal_char_counts():

@@ -11,8 +11,11 @@ from fcl.crystal import (
     socle_restriction,
     to_dot,
 )
-from fcl.errors import ResourceBoundError
-from fcl.partitions import add_node, enumerate_partitions, node_lists, remove_node
+from fcl import crystal
+from fcl.cli import dispatch
+from fcl.errors import ConventionError, ResourceBoundError
+from fcl.partitions import enumerate_partitions
+from oracles import add_node, crystal_graph_bfs, remove_node, restart_signature
 
 BIG = (16, 13, 11, 10, 9, 8, 7, 5, 2)
 
@@ -28,36 +31,6 @@ def test_signature_goldens():
     s2 = signature(BIG, 3, 2)
     assert s2.word(reduced=True) == "R2 R11 R13"
     assert s2.good_addable is None and s2.good_removable == 2
-
-
-def restart_signature(lam, n, i):
-    """Oracle: delete the first adjacent RA pair and rescan, until none is left.
-
-    Returns (word, reduced word, good removable node, good addable node).
-    """
-    add, rem = node_lists(lam, n, i)
-    raw = sorted([("A", nd) for nd in add] + [("R", nd) for nd in rem], key=lambda t: t[1].col)
-    word = list(raw)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(word) - 1):
-            if word[k][0] == "R" and word[k + 1][0] == "A":
-                del word[k : k + 2]
-                changed = True
-                break
-    removals = [nd for s, nd in word if s == "R"]
-    addables = [nd for s, nd in word if s == "A"]
-
-    def text(w):
-        return " ".join(f"{s}{nd.col}" for s, nd in w)
-
-    return (
-        text(raw),
-        text(word),
-        removals[0] if removals else None,
-        addables[-1] if addables else None,
-    )
 
 
 def test_signature_matches_restart_oracle():
@@ -163,6 +136,44 @@ def test_full_graph_heads():
             if sum(star) <= 6:
                 expected.add(star)
     assert set(g.heads()) == expected
+
+
+def _node_order(lam):
+    return (sum(lam), tuple(-p for p in lam))
+
+
+@pytest.mark.parametrize("component_of_empty", [True, False])
+def test_crystal_graph_is_the_breadth_first_walk(component_of_empty):
+    for n in range(2, 6):
+        for max_m in range(10):
+            g = crystal_graph(n, max_m, component_of_empty)
+            nodes, edges = crystal_graph_bfs(n, max_m, component_of_empty)
+            assert g.nodes == sorted(nodes, key=_node_order), (n, max_m)
+            assert g.edges == sorted(edges, key=lambda e: (_node_order(e[0]), e[1])), (n, max_m)
+
+
+def test_irregular_f_tilde_is_a_convention_error(monkeypatch, capsys):
+    # an f~ that doubles the last part of (2,) leaves the 2-regular partitions
+    real = crystal.f_tilde
+
+    def leaky(lam, n, i):
+        return (2, 2) if lam == (2,) else real(lam, n, i)
+
+    monkeypatch.setattr(crystal, "f_tilde", leaky)
+    with pytest.raises(ConventionError, match=r"leads from \(2,\) out of the graph"):
+        crystal_graph(2, 4)
+    assert dispatch(["crystal-graph", "--n", "2", "--max-m", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "internal convention violation" in err
+
+
+def test_unreached_regular_partition_is_a_convention_error(monkeypatch):
+    # an f~ that never reaches (2,) leaves a regular partition outside the component
+    real = crystal.f_tilde
+    monkeypatch.setattr(crystal, "f_tilde",
+                        lambda lam, n, i: None if lam == (1,) and i == 1 else real(lam, n, i))
+    with pytest.raises(ConventionError, match=r"no f~_i reaches \(2,\)"):
+        crystal_graph(2, 3)
 
 
 def test_resource_cap():

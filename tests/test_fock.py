@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fcl import partitions
 from fcl.fock import (
     FockVector,
-    classical_apply,
     diag_apply,
     divided_f,
     e_apply,
@@ -22,6 +21,7 @@ from fcl.fock import (
 )
 from fcl.partitions import enumerate_partitions, residue_data
 from fcl.qseries import LaurentPoly
+from oracles import classical_apply
 
 Q = LaurentPoly.q_power
 

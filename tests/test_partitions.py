@@ -2,13 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fcl import partitions
 from fcl.partitions import (
     Weight,
-    add_node,
-    addable_nodes,
     check_partition,
     conjugate,
-    content_lists,
     dominates,
     enumerate_partitions,
     format_partition,
@@ -16,17 +14,26 @@ from fcl.partitions import (
     is_n_regular,
     multiplicities,
     n_core,
-    node_lists,
     parse_partition,
-    remove_node,
-    removable_nodes,
     residue_counts,
     residue_data,
     rim_hook_count,
     weight_basics,
     weight_target_profile,
 )
-from oracles import beta_hook_results, n_core_walk, rim_hooks
+from oracles import (
+    Node,
+    add_node,
+    addable_nodes,
+    beta_hook_results,
+    content_lists,
+    n_core_walk,
+    node_lists,
+    removable_nodes,
+    remove_node,
+    residue_counts_by_row,
+    rim_hooks,
+)
 
 BIG = (16, 13, 11, 10, 9, 8, 7, 5, 2)
 
@@ -38,8 +45,20 @@ def test_parse_and_format():
     assert parse_partition("10,8,7") == (10, 8, 7)
     assert format_partition(()) == "0"
     assert format_partition((4, 3, 1)) == "4,3,1"
+    assert parse_partition(" 3^2 , 1 ") == (3, 3, 1)
+    assert parse_partition("2^0,1") == (1,)
     with pytest.raises(ValueError):
         check_partition((1, 2))
+
+
+@pytest.mark.parametrize("text", ["3,x", "3^2^1", "3,,2", "3^-1", "1,2", "3,0", "-1", "2^"])
+def test_parse_rejects_malformed_text_in_domain_terms(text):
+    with pytest.raises(ValueError) as err:
+        parse_partition(text)
+    assert str(err.value) == (
+        f"{text!r} is not a partition: give weakly decreasing positive parts"
+        " separated by commas, a repeated part as value^count (3^2,1 is 3,3,1)"
+    )
 
 
 def test_conjugate_examples():
@@ -100,6 +119,36 @@ def test_colour_shift():
         for v in range(n):
             shifted = residue_counts(lam, n, colour=v)
             assert shifted == tuple(base[(r - v) % n] for r in range(n))
+
+
+def test_residue_counts_match_the_row_rule():
+    for m in range(13):
+        for lam in enumerate_partitions(m):
+            for n in range(1, 7):
+                for colour in range(n):
+                    assert residue_counts(lam, n, colour) == residue_counts_by_row(lam, n, colour), (
+                        lam, n, colour)
+
+
+def test_sweep_is_the_node_model():
+    # the i-node sweep lists the oracle's addable and removable i-nodes merged
+    # in column order; for n = 1 an addable node precedes a removable one in
+    # the same column
+    for n in range(1, 6):
+        for m in range(11):
+            for lam in enumerate_partitions(m):
+                for i in range(n):
+                    add, rem = node_lists(lam, n, i)
+                    want = sorted([(nd.col, 0, nd.row - 1, 1) for nd in add]
+                                  + [(nd.col, 1, nd.row - 1, -1) for nd in rem])
+                    got = partitions._inodes(lam, n, i)
+                    assert got == [(r, c, s) for c, _, r, s in want], (lam, n, i)
+                    for r, c, s in got:
+                        nd = Node(r + 1, c, c - r - 1)
+                        if s > 0:
+                            assert partitions._grown(lam, r) == add_node(lam, nd)
+                        else:
+                            assert partitions._shrunk(lam, r) == remove_node(lam, nd)
 
 
 def test_node_lists_examples():
@@ -276,6 +325,18 @@ def test_weight_target_profile():
     assert weight_target_profile(3, 1, (0, 0)) is None  # wrong sector
     c, s0 = weight_target_profile(3, 1, (2, 2))
     assert c == (0, 0, -1) and s0 == -1
+    for target in ((3, 0), (0, 3), (-1, 1), (2, 5)):
+        with pytest.raises(ValueError, match=r"needs both indices in 0..n-1 = 0..2"):
+            weight_target_profile(3, 0, target)
+
+
+def test_target_profile_exists_exactly_on_its_sector():
+    for n in range(2, 8):
+        for j in range(n):
+            for s in range(n):
+                for t in range(n):
+                    prof = weight_target_profile(n, j, (s, t))
+                    assert (prof is not None) == ((s + t - j) % n == 0), (n, j, s, t)
 
 
 def test_multiplicities():

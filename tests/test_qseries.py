@@ -11,12 +11,20 @@ from fcl.qseries import (
     bar,
     gauss_balanced,
     inv_phi,
+    inv_pochhammer,
     phi,
     q_fact,
     q_int,
+    q_product,
     qbinom_lower,
 )
-from oracles import gauss_balanced_divided, qbinom_lower_divided
+from oracles import (
+    euler_product,
+    gauss_balanced_divided,
+    geometric_product,
+    partition_counts,
+    qbinom_lower_divided,
+)
 
 Q = LaurentPoly.q_power
 one = LaurentPoly.one()
@@ -84,6 +92,20 @@ def test_inv_phi_counts_partitions():
     series = inv_phi(20)
     for k in range(21):
         assert series.coeff(k) == len(enumerate_partitions(k))
+
+
+def test_products_match_the_series_constructions():
+    # a truncated product cut further is the product at the lower order
+    for k in range(21):
+        full = geometric_product(range(1, k + 1), 30)
+        for order in range(31):
+            assert inv_pochhammer(k, order) == full.truncate(order), (k, order)
+    for order in range(31):
+        assert phi(order) == euler_product(order), order
+        assert inv_phi(order) == partition_counts(order), order
+    # (1 - q^2)(1 - q^3) / (1 - q)^2 = (1 + q)(1 + q + q^2)
+    assert q_product((2, 3), (1, 1), 6) == TruncatedSeries({0: 1, 1: 2, 2: 2, 3: 1}, 1, 6)
+    assert q_product((1,), (), -1) == TruncatedSeries({}, 1, -1)
 
 
 def test_exact_division_checked():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fcl.partitions import enumerate_partitions, removable_nodes
+from fcl.partitions import enumerate_partitions
 from fcl.qseries import LaurentPoly
 from fcl.specht import (
     SpechtVector,
@@ -22,7 +22,7 @@ from fcl.specht import (
     t_minus,
     tableau_text,
 )
-from oracles import mat_add, mat_eq, mat_identity, mat_is_zero, mat_mul, mat_scale
+from oracles import mat_add, mat_eq, mat_identity, mat_is_zero, mat_mul, mat_scale, removable_nodes
 
 Q = LaurentPoly.q_power
 one = LaurentPoly.one()
@@ -293,6 +293,16 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(3) == (1, 1, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_v_k_minus_1():
+    for k in range(1, 61):
+        prod = one
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod = prod * LaurentPoly(dict(enumerate(cyclotomic_poly(d))))
+        assert prod == LaurentPoly({0: -1, k: 1}), k
+        assert cyclotomic_poly(k)[-1] == 1 and cyclotomic_poly(k)[0] != 0, k
 
 
 def test_specialize_at_root_of_unity():
