@@ -5,7 +5,7 @@ and assembles the canonical basis whose q=1 values are the decomposition
 numbers of the deformed symmetric-group algebra at a root of unity.
 """
 
-from fcl.canonical import global_lower_basis, matrix_to_csv, restriction_coeffs
+from fcl.cli import dispatch
 from fcl.crystal import crystal_graph, signature
 from fcl.fock import FockVector, divided_f, f_apply
 
@@ -27,7 +27,7 @@ print("crystal component sizes by weight:", [len(v) for _, v in sorted(g.levels(
 
 print()
 print("canonical-basis table, n=2, weight 5 (dots are zeros):")
-print(matrix_to_csv(global_lower_basis(2, 5)))
+dispatch(["canonical-basis", "--n", "2", "--m", "5"])
 
 print("restriction multiplicities, n=2, weight 3:")
-print(matrix_to_csv(restriction_coeffs(2, 3)))
+dispatch(["restriction", "--n", "2", "--m", "3"])

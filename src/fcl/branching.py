@@ -135,7 +135,7 @@ def fermionic_poly(
     The tests pin this rule against the path enumeration for every sector.
     An unreachable sector gives the zero polynomial, as it does for the paths.
     """
-    reachable = pt.weight_target_profile(n, j % n, target) is not None
+    reachable = pt.weight_target_profile(n, j, target) is not None
     s, t = sorted(target)
     if L > paths.MAX_L:
         raise ResourceBoundError(f"path cutoff {L} exceeds bound {paths.MAX_L}")
@@ -149,7 +149,7 @@ def fermionic_limit(
 ) -> TruncatedSeries:
     """Limit series of the constant-sign sum, normalized by the same rule as
     ``fermionic_poly``; an unreachable sector gives the zero series."""
-    if pt.weight_target_profile(n, j % n, target) is None:
+    if pt.weight_target_profile(n, j, target) is None:
         return TruncatedSeries({}, 1, degree)
     s, t = sorted(target)
     cd = cartan(n)
@@ -174,7 +174,7 @@ def branching_series_stable(
 ) -> TruncatedSeries:
     """Stabilized branching series by counting edge-sum partitions of bounded
     size."""
-    prof = pt.weight_target_profile(n, j % n, tuple(sorted(target)))
+    prof = pt.weight_target_profile(n, j, tuple(sorted(target)))
     if prof is None:
         return TruncatedSeries({}, 1, degree)
     c, s0 = prof
@@ -228,10 +228,7 @@ def abf_closed(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
     negative sign; this orientation is the one validated against the direct
     enumeration (constant offset per (L, a, b, c), coefficients equal).
     """
-    if not (1 <= a <= L - 1 and 1 <= b <= L - 1 and 1 <= c <= L - 1):
-        raise ValueError("heights must lie in 1..L-1")
-    if abs(b - c) != 1:
-        raise ValueError("|b - c| must be 1")
+    paths._check_heights(L, a, b, c)
     if m < 0:
         raise ValueError("m must be >= 0")
 
@@ -260,8 +257,7 @@ def abf_closed(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
 
 def x_limit(L: int, a: int, b: int, c: int, order: int) -> TruncatedSeries:
     """Thermodynamic limit of the configuration sum on the quarter lattice."""
-    if abs(b - c) != 1:
-        raise ValueError("|b - c| must be 1")
+    paths._check_heights(L, a, b, c)
     d = (b + c - 1) // 2
     series = _delta_series(L, a, d, order) * inv_phi(order)
     return series.shifted(Fraction(b * c, 4)).truncate(order)

@@ -11,9 +11,6 @@ multiplicities.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,8 +28,6 @@ __all__ = [
     "decomposition_matrix",
     "restriction_coeffs",
     "js_canonical",
-    "matrix_to_json",
-    "matrix_to_csv",
 ]
 
 
@@ -42,8 +37,7 @@ def ladders(mu: pt.Partition, n: int) -> list[tuple[int, int, int]]:
     The node (row, col) sits on ladder row + (n-1)(col-1); every node of a
     ladder has residue (1 - ladder) mod n.  Listed in increasing ladder index.
     """
-    if not pt.is_n_regular(mu, n):
-        raise ValueError(f"{mu} is not {n}-regular")
+    pt.check_regular(mu, n)
     counts: dict[int, int] = {}
     for row, p in enumerate(mu, start=1):
         for col in range(1, p + 1):
@@ -202,8 +196,7 @@ def js_canonical(lam: pt.Partition, n: int) -> bool:
     True iff the lam-row of the restriction matrix has exactly one nonzero
     entry, equal to 1 at q = 1.
     """
-    if not pt.is_n_regular(lam, n):
-        raise ValueError(f"{lam} is not {n}-regular")
+    pt.check_regular(lam, n)
     if not lam:
         return True
     m = sum(lam)
@@ -212,34 +205,3 @@ def js_canonical(lam: pt.Partition, n: int) -> bool:
     nonzero = [c for c in row if not c.is_zero()]
     return len(nonzero) == 1 and nonzero[0].eval_one() == 1
 
-
-def matrix_to_json(mat: DecompositionMatrix, var: str = "q") -> str:
-    payload = {
-        "n": mat.n,
-        "m": mat.m,
-        "rows": [pt.format_partition(r) for r in mat.rows],
-        "cols": [pt.format_partition(c) for c in mat.cols],
-        "entries": [[e.to_text(var) for e in row] for row in mat.entries],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def matrix_to_csv(
-    mat: DecompositionMatrix, at_one: bool = False, var: str = "q"
-) -> str:
-    """CSV table with '.' for zero entries, mirroring the printed tables."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([""] + [pt.format_partition(c) for c in mat.cols])
-    for lam, row in zip(mat.rows, mat.entries):
-        cells = []
-        for e in row:
-            if e.is_zero():
-                cells.append(".")
-            elif at_one:
-                v = e.eval_one()
-                cells.append("." if v == 0 else str(v))
-            else:
-                cells.append(e.to_text(var))
-        w.writerow([pt.format_partition(lam)] + cells)
-    return buf.getvalue()

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 
 from . import branching, canonical, crystal, fock, paths, specht
 from . import partitions as pt
@@ -33,15 +34,33 @@ def _check_degree(d: int):
         raise ResourceBoundError(f"degree {d} exceeds FCL_MAX_DEGREE={cap}")
 
 
+def _csv(rows) -> str:
+    """The rows, streamed through one csv.writer: every CSV table the CLI prints."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cell) -> str:
+    """A matrix of LaurentPoly entries labelled by rows and cols, each shown as cell(entry).
+
+    CSV has a header of column labels, one line per row label and '.' for a
+    zero entry; JSON has the head fields plus "entries".
+    """
+    if fmt == "json":
+        body = [[cell(e) for e in row] for row in entries]
+        return json.dumps({**head, "entries": body}, sort_keys=True)
+    lines = (
+        [label, *("." if e.is_zero() else cell(e) for e in row)]
+        for label, row in zip(rows, entries)
+    )
+    return _csv(chain([["", *cols]], lines))
+
+
 def _emit(x: LaurentPoly | TruncatedSeries, fmt: str, var: str = "q") -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["exponent", "coefficient"])
-        for num in sorted(x.terms):
-            e = num if x.den == 1 else f"{num}/{x.den}"
-            w.writerow([e, x.terms[num]])
-        return buf.getvalue()
+        rows = ([num if x.den == 1 else f"{num}/{x.den}", c] for num, c in sorted(x.terms.items()))
+        return _csv(chain([["exponent", "coefficient"]], rows))
     if fmt == "json":
         payload = {"den": x.den, "terms": {str(k): v for k, v in sorted(x.terms.items())}}
         if isinstance(x, TruncatedSeries):
@@ -76,19 +95,6 @@ def _parse_target(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _specht_matrix_csv(shape: pt.Partition, mat) -> str:
-    basis = specht.standard_tableaux(shape)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([""] + [specht.tableau_text(t) for t in basis])
-    for t, row in zip(basis, mat):
-        w.writerow(
-            [specht.tableau_text(t)]
-            + ["." if e.is_zero() else e.to_text("v") for e in row]
-        )
-    return buf.getvalue()
-
-
 def cmd_crystal_graph(args) -> str:
     _check_degree(args.max_m)
     g = crystal.crystal_graph(
@@ -115,52 +121,37 @@ def cmd_crystal_graph(args) -> str:
     return "\n".join(lines)
 
 
+def _decomposition(fmt: str, mat: canonical.DecompositionMatrix, cell) -> str:
+    rows = [pt.format_partition(r) for r in mat.rows]
+    cols = [pt.format_partition(c) for c in mat.cols]
+    head = {"n": mat.n, "m": mat.m, "rows": rows, "cols": cols}
+    return _matrix(fmt, head, rows, cols, mat.entries, cell)
+
+
 def cmd_canonical_basis(args) -> str:
     _check_degree(args.m)
     mat = canonical.global_lower_basis(args.n, args.m)
-    if args.format == "json":
-        return canonical.matrix_to_json(mat)
-    return canonical.matrix_to_csv(mat)
+    return _decomposition(args.format, mat, LaurentPoly.to_text)
 
 
 def cmd_decomp_matrix(args) -> str:
     _check_degree(args.m)
     mat = canonical.global_lower_basis(args.n, args.m)
-    if args.format == "json":
-        payload = {
-            "n": mat.n,
-            "m": mat.m,
-            "rows": [pt.format_partition(r) for r in mat.rows],
-            "cols": [pt.format_partition(c) for c in mat.cols],
-            "entries": mat.at_one(),
-        }
-        return json.dumps(payload, sort_keys=True)
-    return canonical.matrix_to_csv(mat, at_one=True)
+    return _decomposition(args.format, mat, LaurentPoly.eval_one)
 
 
 def cmd_restriction(args) -> str:
     _check_degree(args.m)
     mat = canonical.restriction_coeffs(args.n, args.m)
-    if args.format == "json":
-        return canonical.matrix_to_json(mat)
-    return canonical.matrix_to_csv(mat)
+    return _decomposition(args.format, mat, LaurentPoly.to_text)
 
 
 def cmd_specht_matrix(args) -> str:
     shape = pt.parse_partition(args.shape)
     mat = specht.rep_matrix(shape, args.gen)
-    if args.format == "json":
-        basis = specht.standard_tableaux(shape)
-        return json.dumps(
-            {
-                "shape": pt.format_partition(shape),
-                "gen": args.gen,
-                "basis": [specht.tableau_text(t) for t in basis],
-                "entries": [[e.to_text("v") for e in row] for row in mat],
-            },
-            sort_keys=True,
-        )
-    return _specht_matrix_csv(shape, mat)
+    basis = [specht.tableau_text(t) for t in specht.standard_tableaux(shape)]
+    head = {"shape": pt.format_partition(shape), "gen": args.gen, "basis": basis}
+    return _matrix(args.format, head, basis, basis, mat, lambda e: e.to_text("v"))
 
 
 def cmd_tableaux(args) -> str:
@@ -174,24 +165,29 @@ def cmd_js_list(args) -> str:
     members = paths.js_members(args.n, core, args.weight)
     rows = [pt.format_partition(x) for x in members]
     if args.format == "csv":
-        return "\n".join(["partition"] + rows) + "\n"
+        return _csv(chain([["partition"]], ([r] for r in rows)))
     if args.format == "json":
         return json.dumps(rows)
     return "\n".join(rows)
 
 
 def cmd_fow(args) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    header = ["partition", "E", "wt", "fow_j", "js", "core", "weight"]
-    w.writerow(header)
+    n = args.n
+
+    def row(lam: pt.Partition) -> list:
+        _, e, wt = pt.residue_data(lam, n)
+        jj = paths.fow_classify(lam, n)
+        core, w = pt.n_core(lam, n)
+        fow_j = ";".join(map(str, range(n))) if jj == paths.ALL_J else ("" if jj is None else jj)
+        return [pt.format_partition(lam), e, wt.vector(), fow_j, int(jj is not None),
+                pt.format_partition(core), w]
+
     if args.partition is not None:
-        rows = [paths.fow_row(pt.parse_partition(args.partition), args.n)]
+        lams = [pt.parse_partition(args.partition)]
     else:
-        rows = paths.fow_table_rows(args.n, args.m)
-    for row in rows:
-        w.writerow([row[h] for h in header])
-    return buf.getvalue()
+        lams = pt.enumerate_partitions(args.m, regular=n)
+    header = ["partition", "E", "wt", "fow_j", "js", "core", "weight"]
+    return _csv(chain([header], map(row, lams)))
 
 
 def cmd_branching(args) -> str:

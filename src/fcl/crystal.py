@@ -104,14 +104,9 @@ def eps_phi(lam: pt.Partition, n: int, i: int) -> tuple[int, int]:
     return sig.eps, sig.phi
 
 
-def _require_regular(lam: pt.Partition, n: int):
-    if not pt.is_n_regular(lam, n):
-        raise ValueError(f"{lam} is not {n}-regular")
-
-
 def js_crystal(lam: pt.Partition, n: int) -> bool:
     """True iff the eps profile is a single 1 (the empty partition counts)."""
-    _require_regular(lam, n)
+    pt.check_regular(lam, n)
     if not lam:
         return True
     eps = [eps_phi(lam, n, i)[0] for i in range(n)]
@@ -120,7 +115,7 @@ def js_crystal(lam: pt.Partition, n: int) -> bool:
 
 def socle_restriction(lam: pt.Partition, n: int) -> list[pt.Partition]:
     """The predecessors e~_i(lam); multiplicity-free by construction."""
-    _require_regular(lam, n)
+    pt.check_regular(lam, n)
     out = []
     for i in range(n):
         mu = e_tilde(lam, n, i)
@@ -163,6 +158,8 @@ def crystal_graph(
     """
     if component_of_empty and n < 2:
         raise ValueError("regularity needs n >= 2")
+    if n < 1:
+        raise ValueError(f"a crystal graph needs n >= 1, got {n}")
     regular = n if component_of_empty else None
     nodes: list[pt.Partition] = []
     for m in range(max_m + 1):
@@ -199,7 +196,7 @@ def branching_series_crystal(
     Lambda_s + Lambda_t - Lambda_j - e*delta (exactly, delta included) whose
     eps profile vanishes away from j and is at most 1 at j.
     """
-    prof = pt.weight_target_profile(n, j % n, target)
+    prof = pt.weight_target_profile(n, j, target)
     terms: dict[int, int] = {}
     if prof is not None:
         c, s0 = prof
@@ -215,9 +212,7 @@ def branching_series_crystal(
                 if pt.residue_counts(lam, n) != want:
                     continue
                 eps = [eps_phi(lam, n, i)[0] for i in range(n)]
-                if eps[j % n] <= 1 and all(
-                    eps[i] == 0 for i in range(n) if i != j % n
-                ):
+                if eps[j] <= 1 and all(eps[i] == 0 for i in range(n) if i != j):
                     count += 1
             if count:
                 terms[e] = count

@@ -89,9 +89,6 @@ class FockVector:
     def map_coeffs(self, f) -> "FockVector":
         return FockVector(self.n, {k: f(v) for k, v in self.terms.items()})
 
-    def bar(self) -> "FockVector":
-        return self.map_coeffs(lambda c: c.bar())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
@@ -217,16 +214,6 @@ class RelationReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _cartan_pairing(n: int, i: int, j: int) -> int:
-    """<alpha_j, h_i> for affine type A (collapses to 2 on the diagonal)."""
-    a = 2 if i == j else 0
-    if (j - 1) % n == i % n:
-        a -= 1
-    if (j + 1) % n == i % n:
-        a -= 1
-    return a
-
-
 def relation_check(n: int, m: int = 6) -> RelationReport:
     """Verify the defining relations on the span of all partitions of <= m.
 
@@ -237,6 +224,7 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
     basis = [
         lam for size in range(m + 1) for lam in pt.enumerate_partitions(size)
     ]
+    alpha = [pt.weight_basics(n, j)[0] for j in range(n)]
 
     def fail(msg: str):
         report.ok = False
@@ -259,7 +247,7 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
             for j in range(n):
                 for nu in f_apply(j, v).terms:
                     got = diag_apply("h", nu, n, i)
-                    want = ni[i].shifted(-_cartan_pairing(n, i, j))
+                    want = ni[i].shifted(-alpha[j].pair_h(i))
                     if got != want:
                         fail(f"weight relation failed on {lam} -> {nu} (i={i}, j={j})")
         # q-Serre relations
@@ -267,7 +255,7 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
             for j in range(n):
                 if i == j:
                     continue
-                order = 1 - _cartan_pairing(n, i, j)
+                order = 1 - alpha[j].pair_h(i)
                 for op in (e_apply, f_apply):
                     acc = FockVector(n, {})
                     for k in range(order + 1):

@@ -22,6 +22,7 @@ __all__ = [
     "format_partition",
     "conjugate",
     "is_n_regular",
+    "check_regular",
     "residue_counts",
     "residue_data",
     "n_core",
@@ -91,6 +92,11 @@ def is_n_regular(lam: Partition, n: int) -> bool:
     if n < 2:
         raise ValueError("regularity needs n >= 2")
     return all(a < n for _, a in multiplicities(lam))
+
+
+def check_regular(lam: Partition, n: int) -> None:
+    if not is_n_regular(lam, n):
+        raise ValueError(f"{lam} is not {n}-regular")
 
 
 @lru_cache(maxsize=None)
@@ -336,18 +342,20 @@ def weight_target_profile(
     For the target Lambda_s + Lambda_t inside V(Lambda_j) x V(Lambda_0), a
     contributing partition has residue counts m_i = E + c_i with c_0 = 0.
     Returns (c, sum(c)) or None when the target is unreachable (including
-    j != s + t mod n).  A target index outside 0..n-1 is a ValueError.
+    j != s + t mod n).  A target index or j outside 0..n-1 is a ValueError.
     """
     s, t = target
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"target {s},{t} needs both indices in 0..n-1 = 0..{n - 1}")
+    if not 0 <= j < n:
+        raise ValueError(f"j {j} needs to lie in 0..n-1 = 0..{n - 1}")
     if (s + t - j) % n != 0:
         return None
     T = [0] * n
     T[0] += 1
-    T[j % n] += 1
-    T[s % n] -= 1
-    T[t % n] -= 1
+    T[j] += 1
+    T[s] -= 1
+    T[t] -= 1
     if n == 1:
         raise ValueError("n must be >= 2")
     inv = _cartan_inverse(n)

@@ -32,8 +32,6 @@ __all__ = [
     "chi_js_direct",
     "branching_poly_paths",
     "abf_sum_direct",
-    "fow_row",
-    "fow_table_rows",
 ]
 
 
@@ -69,8 +67,7 @@ def to_partition(p: PathWord) -> pt.Partition:
 
 
 def to_path(lam: pt.Partition, n: int) -> PathWord:
-    if not pt.is_n_regular(lam, n):
-        raise ValueError(f"{lam} is not {n}-regular")
+    pt.check_regular(lam, n)
     cols = pt.conjugate(lam)
     kstar = len(cols)
     gamma = tuple((k - cols[k]) % n for k in range(kstar))
@@ -126,8 +123,7 @@ def _edge_sums_ok(mults: list[tuple[int, int]], n: int) -> bool:
 
 def fow_classify(lam: pt.Partition, n: int):
     """Border-edge classification: the colour j, ALL_J for empty, else None."""
-    if not pt.is_n_regular(lam, n):
-        raise ValueError(f"{lam} is not {n}-regular")
+    pt.check_regular(lam, n)
     if not lam:
         return ALL_J
     mults = pt.multiplicities(lam)
@@ -242,7 +238,7 @@ def branching_poly_paths(n: int, j: int, target: tuple[int, int], L: int) -> Lau
     bound is the bound on the largest part, and the starting weight pins the
     residue-count profile.
     """
-    prof = pt.weight_target_profile(n, j % n, target)
+    prof = pt.weight_target_profile(n, j, target)
     if L > MAX_L:
         raise ResourceBoundError(f"path cutoff {L} exceeds bound {MAX_L}")
     if prof is None:
@@ -258,12 +254,20 @@ def _profile_counts(
     m_i = E + c_i."""
     out: dict[int, int] = {}
     for (colour, m), count in hist:
-        if colour != ALL_J and colour != j % n:
+        if colour != ALL_J and colour != j:
             continue
         e = m[0]
         if all(m[i] == e + c[i] for i in range(n)):
             out[e] = out.get(e, 0) + count
     return out
+
+
+def _check_heights(L: int, a: int, b: int, c: int) -> None:
+    """The boundary heights of every configuration sum: a, b, c in 1..L-1, |b - c| = 1."""
+    if not (1 <= a <= L - 1 and 1 <= b <= L - 1 and 1 <= c <= L - 1):
+        raise ValueError("heights must lie in 1..L-1")
+    if abs(b - c) != 1:
+        raise ValueError("|b - c| must be 1")
 
 
 def abf_sum_direct(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
@@ -272,10 +276,7 @@ def abf_sum_direct(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
     Heights run 1..L-1 with unit steps; the boundary is (l_1, l_{m+1},
     l_{m+2}) = (a, b, c).  Returns 0 when no admissible sequence exists.
     """
-    if not (1 <= a <= L - 1 and 1 <= b <= L - 1 and 1 <= c <= L - 1):
-        raise ValueError("heights must lie in 1..L-1")
-    if abs(b - c) != 1:
-        raise ValueError("|b - c| must be 1")
+    _check_heights(L, a, b, c)
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
@@ -299,25 +300,3 @@ def abf_sum_direct(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
             return LaurentPoly.zero()
     return states.get((b, c), LaurentPoly.zero())
 
-
-def fow_row(lam: pt.Partition, n: int) -> dict[str, str]:
-    """The classification row of one partition (CSV payload)."""
-    _, e, wt = pt.residue_data(lam, n)
-    jj = fow_classify(lam, n)
-    core, w = pt.n_core(lam, n)
-    return {
-        "partition": pt.format_partition(lam),
-        "E": str(e),
-        "wt": wt.vector(),
-        "fow_j": ";".join(str(x) for x in range(n))
-        if jj == ALL_J
-        else ("" if jj is None else str(jj)),
-        "js": "1" if jj is not None else "0",
-        "core": pt.format_partition(core),
-        "weight": str(w),
-    }
-
-
-def fow_table_rows(n: int, m: int) -> list[dict[str, str]]:
-    """One classification row per n-regular partition of m (CSV payload)."""
-    return [fow_row(lam, n) for lam in pt.enumerate_partitions(m, regular=n)]

@@ -117,11 +117,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return Fraction(min(self.terms), self.den)
 
-    def max_exp(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return Fraction(max(self.terms), self.den)
-
     def is_bar_invariant(self) -> bool:
         return all(self.terms.get(-n, 0) == c for n, c in self.terms.items())
 

@@ -1,4 +1,3 @@
-import json
 
 import pytest
 
@@ -9,8 +8,6 @@ from fcl.canonical import (
     global_lower_basis,
     js_canonical,
     ladders,
-    matrix_to_csv,
-    matrix_to_json,
     monomial_A,
     restriction_coeffs,
 )
@@ -185,14 +182,3 @@ def test_js_canonical_goldens():
     assert not js_canonical((2, 1), 2)
     with pytest.raises(ValueError):
         js_canonical((3, 1, 1), 2)  # not 2-regular: rejected
-
-
-def test_emitters():
-    mat = global_lower_basis(2, 3)
-    payload = json.loads(matrix_to_json(mat))
-    assert payload["n"] == 2 and payload["m"] == 3
-    assert payload["rows"] == ["3", "2,1", "1,1,1"]
-    assert payload["cols"] == ["3", "2,1"]
-    csv_text = matrix_to_csv(mat)
-    assert csv_text.splitlines()[0] == ',3,"2,1"'
-    assert "." in csv_text

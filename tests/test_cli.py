@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -30,6 +31,52 @@ def test_defaults_give_the_printed_table(capsys):
     code2, explicit = run(capsys, "decomp-matrix", "--n", "2", "--m", "5")
     assert code == code2 == 0
     assert zero_config == explicit
+
+
+def test_emitters(capsys):
+    code, out = run(capsys, "canonical-basis", "--n", "2", "--m", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 2 and payload["m"] == 3
+    assert payload["rows"] == ["3", "2,1", "1,1,1"]
+    assert payload["cols"] == ["3", "2,1"]
+    code, csv_text = run(capsys, "canonical-basis", "--n", "2", "--m", "3", "--format", "csv")
+    assert code == 0
+    assert csv_text.splitlines()[0] == ',3,"2,1"'
+    assert "." in csv_text
+
+
+CSV_ARGV = [
+    "canonical-basis --n 3 --m 5",
+    "decomp-matrix --n 2 --m 6",
+    "restriction --n 2 --m 5",
+    "restriction --n 4 --m 1",
+    "specht-matrix --shape 3,2,1 --gen 2",
+    "specht-matrix --shape 2 --gen 1",
+    "js-list --n 2 --weight 2",
+    "js-list --n 3 --core 1 --weight 2",
+    "js-list --n 3 --core 3,1 --weight 0",
+    "branching --n 3 --j 0 --target 1,2 --L 8",
+    "branching --n 3 --j 0 --target 1,2 --source fermionic",
+    "chi --n 3 --core 1 --source direct",
+    "abf --L 4 --a 1 --b 2 --c 3 --m 3",
+    "virasoro --mparam 4 --r 1 --s 2",
+    "fow --n 3 --m 6",
+    "fow --n 3 --partition 13^2,10,6,5,4,1^2",
+]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGV)
+def test_every_csv_row_is_as_wide_as_its_header(capsys, argv):
+    if "fow" not in argv:
+        argv += " --format csv"
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    table = out.removesuffix("\n")
+    if "--source fermionic" in argv:  # the raw-shift note follows the table
+        table = table[: table.rindex("# raw shift")]
+    header, *rows = csv.reader(io.StringIO(table))
+    assert [len(row) for row in rows] == [len(header)] * len(rows)
 
 
 def test_tableaux_rows(capsys):
@@ -174,6 +221,15 @@ def test_exit_code_n_below_two(capsys):
         ("branching --n 3 --target 3,0 --source fermionic", "target 3,0 needs both indices"),
         ("branching --n 3 --target 0,-1 --L 25", "target 0,-1 needs both indices"),
         ("tableaux --shape 4,2 --standard", "unrecognized arguments: --standard"),
+        ("abf --source limit --L 4 --a 9 --b 1 --c 2", "heights must lie in 1..L-1"),
+        ("abf --source limit --L 1", "heights must lie in 1..L-1"),
+        ("abf --source limit --b 2 --c 2", "|b - c| must be 1"),
+        ("crystal-graph --n 0 --full", "a crystal graph needs n >= 1, got 0"),
+        ("crystal-graph --n -2 --full --format text", "a crystal graph needs n >= 1, got -2"),
+        ("branching --n 3 --j 7", "j 7 needs to lie in 0..n-1 = 0..2"),
+        ("branching --n 3 --j -1", "j -1 needs to lie in 0..n-1 = 0..2"),
+        ("branching --n 3 --j 3 --source crystal", "j 3 needs to lie in 0..n-1"),
+        ("branching --n 3 --j 4 --target 1,0 --source fermionic", "j 4 needs to lie in 0..n-1"),
     ],
 )
 def test_invalid_argv_exits_2_in_domain_terms(capsys, argv, message):
