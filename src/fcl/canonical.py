@@ -129,7 +129,7 @@ def global_basis_vectors(n: int, m: int) -> dict[pt.Partition, FockVector]:
                 )
             if not gamma.is_bar_invariant():
                 raise ConventionError("correction coefficient not bar-invariant")
-            vec = vec - done[nu].scaled(gamma)
+            vec = vec.minus_scaled(done[nu], gamma)
         for lam, c in vec.terms.items():
             if lam != mu and not c.in_qZq():
                 raise ConventionError(
@@ -179,7 +179,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
             if c.is_zero():
                 continue
             coeffs[(lam, mu)] = c
-            vec = vec - high[lam].scaled(c)
+            vec = vec.minus_scaled(high[lam], c)
         if not vec.is_zero():
             raise ConventionError(
                 f"restriction image of {mu} does not lie in the basis span"

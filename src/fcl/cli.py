@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--max-m", type=_NONNEGATIVE, default=5)
     sp.add_argument("--full", action="store_true", help="all partitions, not just the component of the empty one")
-    sp.add_argument("--max-nodes", type=int, default=None)
+    sp.add_argument("--max-nodes", type=_NONNEGATIVE, default=None)
     sp.add_argument("--format", choices=("dot", "json", "text"), default="dot")
 
     sp = add("canonical-basis", cmd_canonical_basis, help="q-decomposition matrix d(q)")

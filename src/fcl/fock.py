@@ -86,6 +86,36 @@ class FockVector:
     def scaled(self, c: LaurentPoly) -> "FockVector":
         return FockVector(self.n, {k: v * c for k, v in self.terms.items()})
 
+    def minus_scaled(self, other: "FockVector", c: LaurentPoly) -> "FockVector":
+        """self - c * other, in one pass.
+
+        Each coefficient that other touches is summed as exponent numerators
+        on the common lattice and built once; the rest are kept as they are.
+        """
+        if self.n != other.n:
+            raise ValueError("mixed moduli")
+        den = lcm(_lattice(self), _lattice(other), c.den)
+        fc = den // c.den
+        minus_c = [(k * fc, -v) for k, v in c.terms.items()]
+        acc: dict[pt.Partition, dict[int, int]] = {}
+        for lam, b in other.terms.items():
+            t = acc[lam] = {}
+            a = self.terms.get(lam)
+            if a is not None:
+                _add_shifted(t, a, 0, den)
+            fb = den // b.den
+            for kb, vb in b.terms.items():
+                kb *= fb
+                for kc, vc in minus_c:
+                    k = kb + kc
+                    t[k] = t.get(k, 0) + vb * vc
+        built = _build(self.n, acc, den).terms
+        out = dict(self.terms)
+        out.update(built)
+        for lam in acc.keys() - built.keys():
+            out.pop(lam, None)
+        return FockVector._of(self.n, out)
+
     def map_coeffs(self, f) -> "FockVector":
         return FockVector(self.n, {k: f(v) for k, v in self.terms.items()})
 

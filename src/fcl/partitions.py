@@ -96,7 +96,7 @@ def is_n_regular(lam: Partition, n: int) -> bool:
 
 def check_regular(lam: Partition, n: int) -> None:
     if not is_n_regular(lam, n):
-        raise ValueError(f"{lam} is not {n}-regular")
+        raise ValueError(f"{format_partition(lam)} is not {n}-regular")
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ representation matrices for the deformed symmetric-group algebra.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from . import partitions as pt
 from .errors import StraighteningError
@@ -124,11 +125,15 @@ def standard_tableaux(shape: pt.Partition) -> tuple[Tableau, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _heights(shape: pt.Partition) -> pt.Partition:
+    """Column heights of a shape, worked out once per shape."""
+    return pt.conjugate(shape)
+
+
 def column_word(t: Tableau) -> tuple[int, ...]:
     """Entries read down the leftmost column, then subsequent columns."""
-    shape = shape_of(t)
-    cols = pt.conjugate(shape)
-    return tuple(t[r][c] for c, height in enumerate(cols) for r in range(height))
+    return tuple(t[r][c] for c, height in enumerate(_heights(shape_of(t))) for r in range(height))
 
 
 def precedes(a: int, b: int, t: Tableau) -> bool:
@@ -136,15 +141,13 @@ def precedes(a: int, b: int, t: Tableau) -> bool:
     return word.index(a) < word.index(b)
 
 
+def _inversions(word) -> int:
+    return sum(1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j])
+
+
 def perm_length(t: Tableau) -> int:
     """Inversions of the permutation carrying the column-first filling to t."""
-    word = column_word(t)
-    return sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
+    return _inversions(column_word(t))
 
 
 def _swap_entries(t: Tableau, a: int, b: int) -> Tableau:
@@ -153,26 +156,49 @@ def _swap_entries(t: Tableau, a: int, b: int) -> Tableau:
     )
 
 
+def _cell(t: Tableau, e: int) -> tuple[int, int]:
+    return next((r, row.index(e)) for r, row in enumerate(t) if e in row)
+
+
 def _column_sort(t: Tableau) -> tuple[int, Tableau]:
     """Sort every column, returning the sign picked up from the column relations."""
-    shape = shape_of(t)
-    cols = pt.conjugate(shape)
     grid = [list(row) for row in t]
     sign = 1
-    for c, height in enumerate(cols):
+    for c, height in enumerate(_heights(shape_of(t))):
         col = [grid[r][c] for r in range(height)]
-        inv = sum(
-            1
-            for i in range(height)
-            for j in range(i + 1, height)
-            if col[i] > col[j]
-        )
-        if inv % 2:
+        if _inversions(col) % 2:
             sign = -sign
         col.sort()
         for r in range(height):
             grid[r][c] = col[r]
     return sign, tuple(tuple(row) for row in grid)
+
+
+def _crossings(left, right) -> int:
+    """Pairs (a, b), a in left and b in right, with a > b."""
+    return sum(1 for a in left for b in right if a > b)
+
+
+def _garnir_terms(z: Tableau, r0: int, c0: int, heights: pt.Partition):
+    """The summands of the Garnir relation at the 0-based violation (r0, c0).
+
+    Each summand is (k, left, right): ``left`` fills column c0 from row r0
+    down and ``right`` fills column c0+1 down to row r0, both increasing,
+    and the summand's coefficient is (-v)^k.  These cells are one
+    contiguous stretch of the column word, so k, the drop in inversions
+    from z, is counted on that stretch alone.  Sorted by (k, stretch); the
+    first summand is z itself, with k = 0.
+    """
+    left0 = tuple(z[r][c0] for r in range(r0, heights[c0]))
+    right0 = tuple(z[r][c0 + 1] for r in range(r0 + 1))
+    entries = sorted(left0 + right0)
+    base = _crossings(left0, right0)
+    out = []
+    for left in combinations(entries, len(left0)):
+        right = tuple(e for e in entries if e not in left)
+        out.append((base - _crossings(left, right), left, right))
+    out.sort()
+    return out
 
 
 def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
@@ -187,31 +213,41 @@ def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
     """
     if not is_column_standard(z):
         raise ValueError("Garnir relation needs a column-standard tableau")
-    shape = shape_of(z)
-    cols = pt.conjugate(shape)
     r0, c0 = row - 1, col - 1
-    if c0 + 1 >= shape[r0] or z[r0][c0] <= z[r0][c0 + 1]:
+    if c0 + 1 >= len(z[r0]) or z[r0][c0] <= z[r0][c0 + 1]:
         raise ValueError(f"no row violation at ({row}, {col})")
-    left = [(r, c0) for r in range(r0, cols[c0])]
-    right = [(r, c0 + 1) for r in range(0, r0 + 1)]
-    entries = sorted(z[r][c] for r, c in left + right)
-    lz = perm_length(z)
-    out: list[tuple[Tableau, LaurentPoly]] = []
-    from itertools import combinations
-
-    for lset in combinations(entries, len(left)):
-        rset = [e for e in entries if e not in lset]
+    heights = _heights(shape_of(z))
+    out = []
+    for k, left, right in _garnir_terms(z, r0, c0, heights):
         grid = [list(rw) for rw in z]
-        for (r, c), e in zip(left, lset):
-            grid[r][c] = e
-        for (r, c), e in zip(right, rset):
-            grid[r][c] = e
-        t = tuple(tuple(rw) for rw in grid)
-        k = lz - perm_length(t)
-        coeff = LaurentPoly.q_power(k, -1 if k % 2 else 1)
-        out.append((t, coeff))
-    out.sort(key=lambda pair: (pair[1].min_exp(), column_word(pair[0])))
+        for r, e in enumerate(left, r0):
+            grid[r][c0] = e
+        for r, e in enumerate(right):
+            grid[r][c0 + 1] = e
+        out.append((tuple(map(tuple, grid)), LaurentPoly.q_power(k, -1 if k % 2 else 1)))
     return out
+
+
+def _sorted_summand(z: Tableau, r0: int, c0: int, heights, left, right) -> tuple[int, Tableau]:
+    """A Garnir summand of z with columns c0 and c0+1 sorted, and the sign that costs.
+
+    Only those two columns change, and each is two increasing runs: the
+    rows of z above ``left`` and ``left``; ``right`` and the rows of z
+    below it.
+    """
+    above = tuple(z[r][c0] for r in range(r0))
+    below = tuple(z[r][c0 + 1] for r in range(r0 + 1, heights[c0 + 1]))
+    sign = -1 if (_crossings(above, left) + _crossings(right, below)) % 2 else 1
+    col0 = sorted(above + left)
+    col1 = sorted(right + below)
+    grid = list(z)
+    for r, e in enumerate(col0):
+        row = z[r]
+        if r < len(col1):
+            grid[r] = (*row[:c0], e, col1[r], *row[c0 + 2:])
+        else:
+            grid[r] = (*row[:c0], e, *row[c0 + 1:])
+    return sign, tuple(grid)
 
 
 class SpechtVector:
@@ -227,6 +263,14 @@ class SpechtVector:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SpechtVector is immutable")
+
+    @staticmethod
+    def _of(shape: pt.Partition, terms: dict[Tableau, LaurentPoly]) -> "SpechtVector":
+        """Wrap ``terms`` as they are; the caller guarantees no zero coefficient."""
+        v = object.__new__(SpechtVector)
+        object.__setattr__(v, "shape", shape)
+        object.__setattr__(v, "terms", terms)
+        return v
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -270,8 +314,24 @@ def _first_violation(t: Tableau) -> tuple[int, int] | None:
     for r, rw in enumerate(t):
         for c in range(len(rw) - 1):
             if rw[c] > rw[c + 1]:
-                return r + 1, c + 1
+                return r, c
     return None
+
+
+def _pruned(acc: dict) -> dict:
+    """{key: {exponent: coefficient}} without zero coefficients or empty keys."""
+    out = {}
+    for key, t in acc.items():
+        if 0 in t.values():  # contributions cancelled
+            t = {e: c for e, c in t.items() if c}
+        if t:
+            out[key] = t
+    return out
+
+
+def _built(acc: dict) -> dict:
+    """{key: {exponent: coefficient}} as {key: LaurentPoly}, each built once."""
+    return {key: LaurentPoly._from_canonical(t) for key, t in _pruned(acc).items()}
 
 
 _STRAIGHTEN_CACHE: dict[Tableau, tuple[tuple[Tableau, LaurentPoly], ...]] = {}
@@ -280,7 +340,12 @@ _STRAIGHTEN_CACHE: dict[Tableau, tuple[tuple[Tableau, LaurentPoly], ...]] = {}
 def _straighten_sorted(
     z: Tableau, _active: set[Tableau] | None = None
 ) -> tuple[tuple[Tableau, LaurentPoly], ...]:
-    """Express a column-standard tableau vector in the standard basis."""
+    """Express a column-standard tableau vector in the standard basis.
+
+    At the first row violation, z is minus the sum of its other Garnir
+    summands; each is column-sorted and straightened in turn, and the
+    coefficients are summed as integer exponents.
+    """
     cached = _STRAIGHTEN_CACHE.get(z)
     if cached is not None:
         return cached
@@ -293,16 +358,20 @@ def _straighten_sorted(
         result = ((z, LaurentPoly.one()),)
     else:
         _active.add(z)
-        acc: dict[Tableau, LaurentPoly] = {}
-        for t, coeff in garnir(z, *violation):
-            if t == z:
-                continue
-            sign, sorted_t = _column_sort(t)
-            factor = coeff if sign == 1 else -coeff
-            for b, c in _straighten_sorted(sorted_t, _active):
-                acc[b] = acc.get(b, LaurentPoly.zero()) - factor * c
+        r0, c0 = violation
+        heights = _heights(shape_of(z))
+        terms = _garnir_terms(z, r0, c0, heights)
+        acc = {}
+        for k, left, right in terms[1:]:
+            sign, u = _sorted_summand(z, r0, c0, heights, left, right)
+            f = sign if k % 2 else -sign  # minus the summand's (-v)^k, times the sign
+            for b, c in _straighten_sorted(u, _active):
+                t = acc.setdefault(b, {})
+                for e, x in c.terms.items():
+                    e += k
+                    t[e] = t.get(e, 0) + f * x
         _active.discard(z)
-        result = tuple((b, c) for b, c in acc.items() if not c.is_zero())
+        result = tuple(_built(acc).items())
     _STRAIGHTEN_CACHE[z] = result
     return result
 
@@ -319,25 +388,39 @@ def straighten(t: Tableau) -> SpechtVector:
     return SpechtVector(shape_of(t), terms)
 
 
+_MINUS_ONE = LaurentPoly.const(-1)
+_V = LaurentPoly.q_power(1)
+_V_MINUS_ONE = LaurentPoly({0: -1, 1: 1})
+
+
 def _generator_image(t: Tableau, i: int) -> SpechtVector:
-    """T_i on a standard tableau vector, straightened."""
+    """T_i on a standard tableau vector, straightened.
+
+    With i directly above i+1, T_i acts as -1.  With i directly left of
+    i+1, the swap is column-standard and straightens through the cache.
+    Otherwise the swap x is standard: T_i t is x when i's column comes
+    first, else v x + (v - 1) t.
+    """
+    shape = shape_of(t)
+    (ri, ci), (rj, cj) = _cell(t, i), _cell(t, i + 1)
+    if ci == cj:
+        return SpechtVector._of(shape, {t: _MINUS_ONE})
     x = _swap_entries(t, i, i + 1)
-    if precedes(i, i + 1, t):
-        return straighten(x)
-    v = LaurentPoly.q_power(1)
-    return straighten(x).scaled(v) + SpechtVector(
-        shape_of(t), {t: LaurentPoly({0: -1, 1: 1})}
-    )
+    if ri == rj:
+        return SpechtVector._of(shape, dict(_straighten_sorted(x)))
+    if ci < cj:
+        return SpechtVector._of(shape, {x: LaurentPoly.one()})
+    return SpechtVector._of(shape, {x: _V, t: _V_MINUS_ONE})
 
 
 def _rows(basis: tuple[Tableau, ...], cols: list[SpechtVector]) -> list[list[LaurentPoly]]:
     """Dense rows of the matrix whose j-th column is cols[j]."""
     index = {t: k for k, t in enumerate(basis)}
-    dense = [[LaurentPoly.zero()] * len(basis) for _ in cols]
-    for col, vec in zip(dense, cols):
+    rows = [[LaurentPoly.zero()] * len(cols) for _ in basis]
+    for j, vec in enumerate(cols):
         for b, c in vec.terms.items():
-            col[index[b]] = c
-    return [list(row) for row in zip(*dense)]
+            rows[index[b]][j] = c
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -351,24 +434,35 @@ def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ..
     return tuple(map(tuple, _rows(basis, [_generator_image(t, i) for t in basis])))
 
 
-def _word_image(t: Tableau, word: tuple[int, ...], images: dict) -> SpechtVector:
-    """A generator word on a standard tableau vector, letters right to left.
+def _word_sum(t: Tableau, words, images: dict) -> SpechtVector:
+    """The sum of v^shift times a generator word on a standard tableau vector,
+    over the (shift, word) pairs in ``words``.
 
-    Each letter T_i sums the straightened images of the current tableaux,
-    memoized in ``images`` by (tableau, i), into one dict.
+    Letters act right to left.  Each letter T_i sums the straightened images
+    of the current tableaux, memoized in ``images`` by (tableau, i), as
+    {tableau: {exponent: coefficient}}.
     """
-    vec = SpechtVector(shape_of(t), {t: LaurentPoly.one()})
-    for i in reversed(word):
-        acc: dict[Tableau, LaurentPoly] = {}
-        for u, c in vec.terms.items():
-            img = images.get((u, i))
-            if img is None:
-                img = images[(u, i)] = _generator_image(u, i)
-            for b, d in img.terms.items():
-                prev = acc.get(b)
-                acc[b] = c * d if prev is None else prev + c * d
-        vec = SpechtVector(vec.shape, acc)
-    return vec
+    acc = {}
+    for shift, word in words:
+        vec = {t: {shift: 1}}
+        for i in reversed(word):
+            nxt = {}
+            for u, c in vec.items():
+                img = images.get((u, i))
+                if img is None:
+                    img = images[(u, i)] = _generator_image(u, i)
+                for b, d in img.terms.items():
+                    tgt = nxt.setdefault(b, {})
+                    for e1, c1 in c.items():
+                        for e2, c2 in d.terms.items():
+                            e = e1 + e2
+                            tgt[e] = tgt.get(e, 0) + c1 * c2
+            vec = _pruned(nxt)
+        for b, c in vec.items():
+            tgt = acc.setdefault(b, {})
+            for e, x in c.items():
+                tgt[e] = tgt.get(e, 0) + x
+    return SpechtVector._of(shape_of(t), _built(acc))
 
 
 def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPoly]]:
@@ -379,7 +473,7 @@ def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPol
         raise ValueError(f"generator word {word} out of range for m={m}")
     basis = standard_tableaux(shape)
     images: dict = {}
-    return _rows(basis, [_word_image(t, word, images) for t in basis])
+    return _rows(basis, [_word_sum(t, [(0, word)], images) for t in basis])
 
 
 def _transposition_word(i: int, k: int) -> tuple[int, ...]:
@@ -395,15 +489,9 @@ def jucys_murphy(shape: pt.Partition, k: int, use_v: bool = True) -> list[list[L
     if not 2 <= k <= sum(shape):
         raise ValueError("k out of range")
     basis = standard_tableaux(shape)
-    words = [(LaurentPoly.q_power(i - k), _transposition_word(i, k)) for i in range(1, k)]
+    words = [(i - k, _transposition_word(i, k)) for i in range(1, k)]
     images: dict = {}
-    cols = []
-    for t in basis:
-        col = SpechtVector(shape)
-        for scale, word in words:
-            col = col + _word_image(t, word, images).scaled(scale)
-        cols.append(col)
-    total = _rows(basis, cols)
+    total = _rows(basis, [_word_sum(t, words, images) for t in basis])
     if not use_v:
         total = [
             [LaurentPoly.const(x.eval_one()) for x in row] for row in total

@@ -1,8 +1,10 @@
 """Second implementations that the tests compare the library against.
 
 Dense matrices over Z[v] (lists of rows of ``LaurentPoly``) with the plain
-triple-loop product, the generator-word and Jucys-Murphy matrices as dense
-products of ``rep_matrix``, n-rim-hooks found by walking the rim, with
+triple-loop product, Specht straightening through whole-tableau Garnir
+relations and column sorts with one ``LaurentPoly`` operation per term, the
+generator matrices built from it, the generator-word and Jucys-Murphy
+matrices as dense products of those, n-rim-hooks found by walking the rim, with
 the n-core obtained by removing them one at a time, residue counts row by
 row, branching counts that list the edge-sum partitions and classify them
 one by one, Gaussian binomials as quotients of q-factorials by long
@@ -13,14 +15,18 @@ the crystal graph grown by breadth-first f~_i steps.
 """
 
 from collections import Counter
+from itertools import combinations
 from typing import NamedTuple
 
 from fcl import specht
-from fcl.partitions import Partition, check_partition, enumerate_partitions, weight_target_profile
+from fcl.partitions import (
+    Partition, check_partition, conjugate, enumerate_partitions, weight_target_profile,
+)
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
 from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
 
 Matrix = list[list[LaurentPoly]]
+Tableau = specht.Tableau
 
 
 def mat_identity(k: int) -> Matrix:
@@ -60,16 +66,107 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def rep_word(shape: Partition, word: tuple[int, ...]) -> Matrix:
-    """Product of the generator matrices of a word, left to right."""
-    basis = specht.standard_tableaux(tuple(shape))
-    out = mat_identity(len(basis))
-    for i in word:
-        out = mat_mul(out, [list(r) for r in specht.rep_matrix(tuple(shape), i)])
+def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
+    """The Garnir relation at (row, col), 1-based: every interleaving filled in
+    whole, its coefficient (-v)^k with k the drop in inversions of the whole
+    column word, sorted by (k, column word)."""
+    cols = conjugate(specht.shape_of(z))
+    r0, c0 = row - 1, col - 1
+    left = [(r, c0) for r in range(r0, cols[c0])]
+    right = [(r, c0 + 1) for r in range(0, r0 + 1)]
+    entries = sorted(z[r][c] for r, c in left + right)
+    lz = specht.perm_length(z)
+    out = []
+    for lset in combinations(entries, len(left)):
+        rset = [e for e in entries if e not in lset]
+        grid = [list(rw) for rw in z]
+        for (r, c), e in zip(left, lset):
+            grid[r][c] = e
+        for (r, c), e in zip(right, rset):
+            grid[r][c] = e
+        t = tuple(tuple(rw) for rw in grid)
+        k = lz - specht.perm_length(t)
+        out.append((t, LaurentPoly.q_power(k, -1 if k % 2 else 1)))
+    out.sort(key=lambda pair: (pair[1].min_exp(), specht.column_word(pair[0])))
     return out
 
 
-def jucys_murphy(shape: Partition, k: int, use_v: bool = True) -> Matrix:
+def column_sort(t: Tableau) -> tuple[int, Tableau]:
+    """Every column sorted, with the sign of the column relations used."""
+    grid = [list(row) for row in t]
+    sign = 1
+    for c, height in enumerate(conjugate(specht.shape_of(t))):
+        col = [grid[r][c] for r in range(height)]
+        inv = sum(1 for i in range(height) for j in range(i + 1, height) if col[i] > col[j])
+        if inv % 2:
+            sign = -sign
+        col.sort()
+        for r in range(height):
+            grid[r][c] = col[r]
+    return sign, tuple(tuple(row) for row in grid)
+
+
+def _straighten_sorted(z: Tableau, memo: dict) -> dict[Tableau, LaurentPoly]:
+    """A column-standard tableau in the standard basis: at the first row
+    violation, minus the other Garnir summands, column-sorted and
+    straightened one LaurentPoly operation at a time."""
+    if z in memo:
+        return memo[z]
+    violation = next(((r + 1, c + 1) for r, rw in enumerate(z)
+                      for c in range(len(rw) - 1) if rw[c] > rw[c + 1]), None)
+    if violation is None:
+        return {z: LaurentPoly.one()}
+    acc: dict[Tableau, LaurentPoly] = {}
+    for t, coeff in garnir(z, *violation):
+        if t == z:
+            continue
+        sign, sorted_t = column_sort(t)
+        factor = coeff if sign == 1 else -coeff
+        for b, c in _straighten_sorted(sorted_t, memo).items():
+            acc[b] = acc.get(b, LaurentPoly.zero()) - factor * c
+    memo[z] = {b: c for b, c in acc.items() if not c.is_zero()}
+    return memo[z]
+
+
+_STRAIGHTENED: dict[Tableau, dict[Tableau, LaurentPoly]] = {}
+
+
+def straighten(t: Tableau) -> dict[Tableau, LaurentPoly]:
+    """Any filling of a shape by 1..m in the standard basis."""
+    sign, z = column_sort(t)
+    return {b: c if sign == 1 else -c for b, c in _straighten_sorted(z, _STRAIGHTENED).items()}
+
+
+def generator_image(t: Tableau, i: int) -> dict[Tableau, LaurentPoly]:
+    """T_i on a standard tableau: the straightened swap x of i and i+1 when
+    i comes first in the column word, else v x + (v - 1) t."""
+    x = tuple(tuple(i + 1 if e == i else (i if e == i + 1 else e) for e in row) for row in t)
+    img = straighten(x)
+    if specht.precedes(i, i + 1, t):
+        return img
+    out = {b: c * LaurentPoly.q_power(1) for b, c in img.items()}
+    out[t] = out.get(t, LaurentPoly.zero()) + LaurentPoly({0: -1, 1: 1})
+    return {b: c for b, c in out.items() if not c.is_zero()}
+
+
+def rep_matrix(shape: Partition, i: int) -> Matrix:
+    """Generator matrix whose j-th column is the image of the j-th standard tableau."""
+    basis = specht.standard_tableaux(tuple(shape))
+    images = [generator_image(t, i) for t in basis]
+    return [[img.get(b, LaurentPoly.zero()) for img in images] for b in basis]
+
+
+def rep_word(shape: Partition, word: tuple[int, ...]) -> Matrix:
+    """Product of the generator matrices of a word, multiplied in from the
+    right end, so that the sparse generator is always the left factor."""
+    basis = specht.standard_tableaux(tuple(shape))
+    out = mat_identity(len(basis))
+    for i in reversed(word):
+        out = mat_mul(rep_matrix(shape, i), out)
+    return out
+
+
+def jucys_murphy(shape: Partition, k: int) -> Matrix:
     """Sum of q^(i-k) times the matrix of the transposition (i, k), i < k."""
     shape = check_partition(shape)
     basis = specht.standard_tableaux(shape)
@@ -77,8 +174,6 @@ def jucys_murphy(shape: Partition, k: int, use_v: bool = True) -> Matrix:
     for i in range(1, k):
         word = tuple(range(i, k)) + tuple(range(k - 2, i - 1, -1))
         total = mat_add(total, mat_scale(rep_word(shape, word), LaurentPoly.q_power(i - k)))
-    if not use_v:
-        total = [[LaurentPoly.const(x.eval_one()) for x in row] for row in total]
     return total
 
 

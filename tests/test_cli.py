@@ -230,6 +230,10 @@ def test_exit_code_n_below_two(capsys):
         ("branching --n 3 --j -1", "j -1 needs to lie in 0..n-1 = 0..2"),
         ("branching --n 3 --j 3 --source crystal", "j 3 needs to lie in 0..n-1"),
         ("branching --n 3 --j 4 --target 1,0 --source fermionic", "j 4 needs to lie in 0..n-1"),
+        ("crystal-graph --max-nodes -1", "argument --max-nodes: must be nonnegative, got -1"),
+        ("fow --n 2 --partition 3,1,1", "error: 3,1,1 is not 2-regular"),
+        ("js-list --n 3 --core 2,1", "error: 2,1 is not a 3-core"),
+        ("chi --n 3 --core 2,1 --source direct", "error: 2,1 is not a 3-core"),
     ],
 )
 def test_invalid_argv_exits_2_in_domain_terms(capsys, argv, message):
@@ -248,6 +252,7 @@ NONNEGATIVE_FLAGS = [
     ("virasoro", "--degree"),
     ("js-list", "--weight"),
     ("crystal-graph", "--max-m"),
+    ("crystal-graph", "--max-nodes"),
 ]
 
 

@@ -188,6 +188,19 @@ def test_action_is_the_linear_oracle_on_spans(case):
         assert all(canonical(c) for c in got.terms.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(spans(), spans(), coefficients, st.booleans())
+def test_minus_scaled_is_subtracting_the_scaled_vector(a, b, c, cancel):
+    """self - c * other in one pass, on mixed lattices and with full cancellation."""
+    u = a[2]
+    w = FockVector(u.n, b[2].terms)
+    if cancel:
+        u, w, c = u + w, w, LaurentPoly.one()
+    got = u.minus_scaled(w, c)
+    assert got == u - w.scaled(c)
+    assert all(canonical(x) for x in got.terms.values())
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 5),
