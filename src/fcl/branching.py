@@ -2,9 +2,11 @@
 characters, height-model closed forms, and irreducible-restriction series
 through the rectangular-core identity.
 
-Rational exponents are exact.  The constant-sign sums are normalized by a
-fixed rule (see ``fermionic_poly``) and never consult the path enumeration;
-the tests compare the two.
+Rational exponents are exact.  The constant-sign sums carry n times their
+exponents as integers, on the lattice G = n C^-1, and walk the simplices
+their bounds prove sufficient.  They are normalized by a fixed rule (see
+``fermionic_poly``) and never consult the path enumeration; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -12,17 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import isqrt
 
 from . import partitions as pt
 from . import paths
-from .errors import ConventionError, ResourceBoundError
+from .errors import ResourceBoundError
 from .qseries import LaurentPoly, TruncatedSeries, inv_phi, q_product, qbinom_lower
 
 __all__ = [
-    "CartanData",
-    "cartan",
     "FermionicBranching",
     "fermionic_poly",
     "fermionic_limit",
@@ -36,58 +35,48 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CartanData:
-    n: int
-    C: tuple[tuple[int, ...], ...]
-    Cinv: tuple[tuple[Fraction, ...], ...]
-
-    def unit(self, i: int) -> tuple[int, ...]:
-        """e_i as an (n-1)-vector; indices outside 1..n-1 give the zero vector."""
-        return tuple(1 if k == i else 0 for k in range(1, self.n))
-
-
-@lru_cache(maxsize=None)
-def cartan(n: int) -> CartanData:
-    size = n - 1
-    C = tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(size))
-        for i in range(size)
-    )
-    Cinv = pt._cartan_inverse(n)
-    for i in range(size):
-        for j in range(size):
-            acc = sum(C[i][k] * Cinv[k][j] for k in range(size))
-            if acc != (1 if i == j else 0):
-                raise ConventionError("Cartan inverse is wrong")
-    return CartanData(n, C, Cinv)
-
-
-@dataclass(frozen=True)
 class FermionicBranching:
     raw: LaurentPoly
     normalized: LaurentPoly
     shift: Fraction
-    reading: str = "direct"  # the sum is read at the sorted target; the CLI prints it
 
 
-def _m_vectors(n: int, t: int, box: int):
-    """Nonnegative (n-1)-vectors m with entries below box and
-    t + sum(i*m_i) = 0 mod n, in lexicographic order."""
-    for m in product(range(box), repeat=n - 1):
-        if (t + sum(i * mi for i, mi in enumerate(m, 1))) % n == 0:
-            yield m
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    """e_i as an (n-1)-vector; e_0 = e_n = 0."""
+    return tuple(int(k == i) for k in range(1, n))
 
 
-def _quadratic_exponent(cd: CartanData, m: tuple[int, ...], e_st: tuple[int, ...],
-                        s: int, t: int) -> Fraction:
-    size = cd.n - 1
-    expo = Fraction(s * t, cd.n)
-    for i in range(size):
-        row = cd.Cinv[i]
-        for j in range(size):
-            expo += m[i] * row[j] * m[j]
-        expo -= m[i] * sum(row[j] * e_st[j] for j in range(size))
-    return expo
+def _apply(G: tuple[tuple[int, ...], ...], v) -> tuple[int, ...]:
+    return tuple(sum(g * x for g, x in zip(row, v)) for row in G)
+
+
+@lru_cache(maxsize=None)
+def _gram_column(n: int, k: int) -> tuple[int, ...]:
+    """G e_k for G = n C^-1, with e_0 = e_n = 0."""
+    return tuple(row[k - 1] if 0 < k < n else 0 for row in pt._cartan_gram(n))
+
+
+def _m_vectors(n: int, t: int, total: int):
+    """Nonnegative (n-1)-vectors m with sum(m) <= total and
+    t + sum(i*m_i) = 0 mod n."""
+
+    def walk(i: int, left: int, res: int):
+        if i == n:
+            if res % n == 0:
+                yield ()
+            return
+        for mi in range(left + 1):
+            for rest in walk(i + 1, left - mi, res + i * mi):
+                yield (mi, *rest)
+
+    return walk(1, total, t)
+
+
+def _n_exponent(G: tuple[tuple[int, ...], ...], m: tuple[int, ...], g_st: tuple[int, ...],
+                s: int, t: int) -> int:
+    """n times the exponent m C^-1 m - m C^-1 e_(s-t+n) + st/n, for
+    G = n C^-1 and g_st = G e_(s-t+n)."""
+    return sum(mi * (gm - g) for mi, gm, g in zip(m, _apply(G, m), g_st)) + s * t
 
 
 def _fermionic_raw(n: int, s: int, t: int, L: int) -> LaurentPoly:
@@ -95,28 +84,27 @@ def _fermionic_raw(n: int, s: int, t: int, L: int) -> LaurentPoly:
 
     Sum over nonnegative (n-1)-vectors m with t + sum(i*m_i) = 0 mod n of
     q^(m C^-1 m - m C^-1 e_(s-t+n) + st/n) prod binom(l_i + m_i, m_i), where
-    l = C^-1 (L e_(n-1) + e_r + e_(s-t+n) - 2m) and r = L - (s+t) mod n, with
-    e_0 = e_n = 0.  Terms with any l_i < 0 vanish.
+    l = C^-1 (base - 2m), base = L e_(n-1) + e_r + e_(s-t+n) and
+    r = L - (s+t) mod n, with e_0 = e_n = 0.  Terms with any l_i < 0 vanish.
+    The entries of C l = base - 2m sum to l_1 + l_(n-1) >= 0, so the walk
+    stops at 2 sum(m) <= sum(base).
     """
-    cd = cartan(n)
-    size = n - 1
-    e_st = cd.unit(s - t + n)
-    e_r = cd.unit((L - s - t) % n)
-    base = tuple(L * u + a + b for u, a, b in zip(cd.unit(n - 1), e_r, e_st))
-    box = L + n + 2
-    out = LaurentPoly.zero()
-    for m in _m_vectors(n, t, box):
-        lvec = [sum(cd.Cinv[i][k] * (base[k] - 2 * m[k]) for k in range(size))
-                for i in range(size)]
-        if any(l.denominator != 1 or l < 0 for l in lvec):
+    G = pt._cartan_gram(n)
+    e_st = _unit(n, s - t + n)
+    g_st = _gram_column(n, s - t + n)
+    base = [L * u + a + b for u, a, b in zip(_unit(n, n - 1), _unit(n, (L - s - t) % n), e_st)]
+    acc: dict[int, int] = {}  # n * exponent -> coefficient
+    for m in _m_vectors(n, t, sum(base) // 2):
+        nl = _apply(G, [b - 2 * mi for b, mi in zip(base, m)])  # n * l
+        if any(x < 0 or x % n for x in nl):
             continue
-        if any(mi >= box - 1 for mi in m):
-            raise ConventionError("fermionic sum touched the enumeration box boundary")
         prod = LaurentPoly.one()
-        for i in range(size):
-            prod = prod * qbinom_lower(int(lvec[i]) + m[i], m[i])
-        out = out + prod.shifted(_quadratic_exponent(cd, m, e_st, s, t))
-    return out
+        for x, mi in zip(nl, m):
+            prod = prod * qbinom_lower(x // n + mi, mi)
+        e = _n_exponent(G, m, g_st, s, t)
+        for k, c in prod.terms.items():
+            acc[e + n * k] = acc.get(e + n * k, 0) + c
+    return LaurentPoly(acc, n)
 
 
 def _shift(n: int, s: int, t: int) -> int:
@@ -152,21 +140,24 @@ def fermionic_limit(
     if pt.weight_target_profile(n, j, target) is None:
         return TruncatedSeries({}, 1, degree)
     s, t = sorted(target)
-    cd = cartan(n)
-    e_st = cd.unit(s - t + n)
-    # the quadratic form dominates: |m| large makes the exponent exceed the cap
-    M = int(2 * n * isqrt(max(1, degree + 4)) + 2 * n * n + 4)
+    G = pt._cartan_gram(n)
+    g_st = _gram_column(n, s - t + n)
     shift = _shift(n, s, t)
-    cap = Fraction(degree + shift)
-    total = TruncatedSeries({}, 1, cap)
-    for m in _m_vectors(n, t, M + 1):
-        expo = _quadratic_exponent(cd, m, e_st, s, t)
-        if expo > cap:
+    ncap = n * (degree + shift)  # n times the exponent cap
+    # every entry of G is >= 1, so with S = sum(m) and c = max(g_st) the
+    # n-scaled exponent is at least S^2 - c S; above the root it passes ncap
+    c = max(g_st)
+    acc: dict[int, int] = {}  # n * (exponent - shift) -> coefficient
+    for m in _m_vectors(n, t, (c + isqrt(c * c + 4 * ncap)) // 2):
+        e = _n_exponent(G, m, g_st, s, t)
+        if e > ncap:
             continue
         # prod 1/(q)_(m_i), one factor 1/(1 - q^b) for each b <= m_i
-        term = q_product((), [b for mi in m for b in range(1, mi + 1)], int(cap - expo))
-        total = total + TruncatedSeries.from_poly(term.poly.shifted(expo), cap)
-    return total.shifted(-shift).truncate(degree)
+        term = q_product((), [b for mi in m for b in range(1, mi + 1)], (ncap - e) // n)
+        for k, coeff in term.terms.items():
+            key = e + n * (k - shift)
+            acc[key] = acc.get(key, 0) + coeff
+    return TruncatedSeries(acc, n, degree)
 
 
 def branching_series_stable(
@@ -266,12 +257,15 @@ def x_limit(L: int, a: int, b: int, c: int, order: int) -> TruncatedSeries:
 def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     """Irreducible-restriction series from branching functions.
 
-    Only rectangular cores (k^l) with k + l <= n occur; the empty core uses
-    the summed vacuum-sector identity with its overcount correction.
+    Only rectangular n-cores k^l occur (their largest hook k + l - 1 is below
+    n); the empty core uses the summed vacuum-sector identity with its
+    overcount correction.
     """
+    if pt.n_core(core, n)[1] != 0:
+        raise ValueError(f"{pt.format_partition(core)} is not a {n}-core")
     mults = pt.multiplicities(core)
     if len(mults) > 1:
-        raise ValueError(f"{core} is not rectangular")
+        raise ValueError(f"{pt.format_partition(core)} is not rectangular")
     if not core:
         total = TruncatedSeries({}, 1, degree)
         for k in range(n):
@@ -280,8 +274,6 @@ def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
             )
         return total - TruncatedSeries({0: n - 1}, 1, degree)
     k, l = mults[0]
-    if k + l > n:
-        raise ValueError(f"core {core} needs k + l <= n")
     s = min(k, l)
     j = (k - l) % n
     target = tuple(sorted((k % n, (-l) % n)))

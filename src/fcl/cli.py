@@ -200,7 +200,7 @@ def cmd_branching(args) -> str:
         return _emit(series, args.format)
     fb = branching.fermionic_poly(args.n, args.j, args.target, args.L)
     body = _emit(fb.normalized, args.format)
-    note = f"# raw shift q^{fb.shift} ({fb.reading} reading)"
+    note = f"# raw shift q^{fb.shift} (direct reading)"
     return body + ("\n" if not body.endswith("\n") else "") + note
 
 

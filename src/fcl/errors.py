@@ -1,6 +1,6 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ConventionError (and subclasses) -> 3,
+The CLI maps these onto exit codes: ConventionError -> 3,
 ResourceBoundError -> 4.  ValueError from argument validation -> 2.
 """
 
@@ -11,10 +11,6 @@ class ConventionError(RuntimeError):
 
 class ExactDivisionError(ArithmeticError):
     """A division that must be remainder-free left a remainder."""
-
-
-class StraighteningError(ConventionError):
-    """Straightening failed to make progress (relation orientation bug)."""
 
 
 class ResourceBoundError(RuntimeError):

@@ -10,7 +10,6 @@ i-nodes of a partition are read off its rim in one sweep (``_inodes``), and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -326,11 +325,11 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the (n-1)x(n-1) finite type-A Cartan matrix."""
+def _cartan_gram(n: int) -> tuple[tuple[int, ...], ...]:
+    """G = n * C^-1 for the (n-1)x(n-1) finite type-A Cartan matrix C:
+    G_ij = min(i, j) * (n - max(i, j)), an integer matrix with G C = n I."""
     return tuple(
-        tuple(Fraction(min(i, j) * (n - max(i, j)), n) for j in range(1, n))
-        for i in range(1, n)
+        tuple(min(i, j) * (n - max(i, j)) for j in range(1, n)) for i in range(1, n)
     )
 
 
@@ -358,13 +357,12 @@ def weight_target_profile(
     T[t] -= 1
     if n == 1:
         raise ValueError("n must be >= 2")
-    inv = _cartan_inverse(n)
-    c = [Fraction(0)] * n
-    for i in range(1, n):
-        c[i] = sum(inv[i - 1][k - 1] * T[k] for k in range(1, n))
+    # c = C^-1 T on the indices 1..n-1 is integral iff G T is divisible by n
+    gT = [sum(g * x for g, x in zip(row, T[1:])) for row in _cartan_gram(n)]
+    if any(v % n for v in gT):
+        return None
+    c = (0, *(v // n for v in gT))
     # consistency at the wrap-around equation k = 0
     if 2 * c[0] - c[n - 1] - c[1 % n] != T[0]:
         return None
-    if any(ci.denominator != 1 for ci in c):
-        return None
-    return tuple(int(ci) for ci in c), int(sum(c))
+    return c, sum(c)

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import partitions as pt
-from .errors import StraighteningError
+from .errors import ConventionError
 from .qseries import LaurentPoly
 
 __all__ = [
@@ -352,7 +352,7 @@ def _straighten_sorted(
     if _active is None:
         _active = set()
     if z in _active:
-        raise StraighteningError("straightening revisited a tableau (cycle)")
+        raise ConventionError("straightening revisited a tableau (cycle)")
     violation = _first_violation(z)
     if violation is None:
         result = ((z, LaurentPoly.one()),)
@@ -483,20 +483,16 @@ def _transposition_word(i: int, k: int) -> tuple[int, ...]:
     return tuple(up + down)
 
 
-def jucys_murphy(shape: pt.Partition, k: int, use_v: bool = True) -> list[list[LaurentPoly]]:
-    """The k-th twisted-transposition sum; q=1 flag gives the plain one."""
+def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
+    """The k-th twisted-transposition sum; ``eval_one`` of its entries gives
+    the plain one."""
     shape = pt.check_partition(shape)
     if not 2 <= k <= sum(shape):
         raise ValueError("k out of range")
     basis = standard_tableaux(shape)
     words = [(i - k, _transposition_word(i, k)) for i in range(1, k)]
     images: dict = {}
-    total = _rows(basis, [_word_sum(t, words, images) for t in basis])
-    if not use_v:
-        total = [
-            [LaurentPoly.const(x.eval_one()) for x in row] for row in total
-        ]
-    return total
+    return _rows(basis, [_word_sum(t, words, images) for t in basis])
 
 
 @lru_cache(maxsize=None)

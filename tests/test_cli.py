@@ -234,6 +234,9 @@ def test_exit_code_n_below_two(capsys):
         ("fow --n 2 --partition 3,1,1", "error: 3,1,1 is not 2-regular"),
         ("js-list --n 3 --core 2,1", "error: 2,1 is not a 3-core"),
         ("chi --n 3 --core 2,1 --source direct", "error: 2,1 is not a 3-core"),
+        ("chi --n 3 --core 2,1", "error: 2,1 is not a 3-core"),
+        ("chi --n 3 --core 3", "error: 3 is not a 3-core"),
+        ("chi --n 4 --core 2,1", "error: 2,1 is not rectangular"),
     ],
 )
 def test_invalid_argv_exits_2_in_domain_terms(capsys, argv, message):

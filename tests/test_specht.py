@@ -273,8 +273,6 @@ def test_jucys_murphy_is_the_dense_sum(shape):
     for k in range(2, m + 1) if m <= 6 else (m,):  # the dense sums grow fast with m
         want = oracles.jucys_murphy(shape, k)
         assert jucys_murphy(shape, k) == want, k
-        at_one = [[LaurentPoly.const(x.eval_one()) for x in row] for row in want]
-        assert jucys_murphy(shape, k, use_v=False) == at_one, k
 
 
 def _v_int(c: int) -> LaurentPoly:
@@ -300,7 +298,7 @@ def test_jucys_murphy_annihilation():
 def test_jucys_murphy_symmetric_group():
     # at v=1 the operator is diagonalizable with content eigenvalues
     lam = (2, 1)
-    L = jucys_murphy(lam, 3, use_v=False)
+    L = [[LaurentPoly.const(x.eval_one()) for x in row] for row in jucys_murphy(lam, 3)]
     prod = mat_identity(2)
     for c in (1, -1):
         factor = mat_add(L, mat_scale(mat_identity(2), LaurentPoly.const(-c)))
