@@ -1,12 +1,13 @@
 """Lower global basis of the basic representation inside the q-Fock space.
 
-Each n-regular mu yields a bar-invariant monomial vector A(mu) built from
-ladder-wise divided powers; Gaussian correction against previously computed
-basis vectors removes the bar-noninvariant part of every other coefficient,
-leaving the canonical column d_(lambda,mu)(q).  Evaluating at q=1 gives the
-decomposition matrix of the type-A Hecke algebra at an n-th root of unity;
-pushing the lowering operators through the basis gives restriction
-multiplicities.
+Each n-regular mu starts from A(mu) = f_r^(k) G(mu_bar), mu_bar being mu
+without its highest ladder (k nodes of residue r); Gaussian correction
+against the finished basis vectors removes the bar-noninvariant part of every
+other coefficient, leaving the canonical column d_(lambda,mu)(q).  Finished
+columns share one tuple per partition and one LaurentPoly per coefficient.
+Evaluating at q=1 gives the decomposition matrix of the type-A Hecke algebra
+at an n-th root of unity; pushing the lowering operators through the basis
+gives restriction multiplicities.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .qseries import LaurentPoly
 
 __all__ = [
     "ladders",
-    "monomial_A",
     "DecompositionMatrix",
     "global_lower_basis",
     "global_basis_vectors",
@@ -49,24 +49,21 @@ def ladders(mu: pt.Partition, n: int) -> list[tuple[int, int, int]]:
 def _leading_ok(vec: FockVector, mu: pt.Partition) -> bool:
     if vec.coeff(mu) != LaurentPoly.one():
         return False
-    return all(
-        lam == mu or (lam != mu and pt.dominates(mu, lam)) for lam in vec.terms
-    )
+    return all(lam == mu or pt.dominates(mu, lam) for lam in vec.terms)
 
 
-def monomial_A(mu: pt.Partition, n: int) -> FockVector:
-    """Bar-invariant first approximation with unit leading coefficient.
+def _top_ladder(mu: pt.Partition, n: int) -> tuple[int, int, pt.Partition]:
+    """(r, k, mu_bar): the highest ladder of mu holds k nodes of residue r; mu_bar lacks them."""
+    top, res, k = ladders(mu, n)[-1]
+    rows = [p - (r + (n - 1) * (p - 1) == top) for r, p in enumerate(mu, start=1)]
+    if sum(rows) != sum(mu) - k or any(a < b for a, b in zip(rows, rows[1:])):
+        raise ConventionError(f"top ladder of {mu} has a node that is not a row end")
+    return res, k, tuple(p for p in rows if p)
 
-    Applies the ladder divided powers lowest ladder first.
-    """
-    vec = FockVector.basis(n, ())
-    for _, res, k in ladders(mu, n):
-        vec = divided_f(res, k, vec)
-    if _leading_ok(vec, mu):
-        return vec
-    raise ConventionError(
-        f"monomial for {mu} has no unit dominance-triangular leading term"
-    )
+
+# Finished columns share their keys and coefficients through these tables.
+_PARTS: dict[pt.Partition, pt.Partition] = {}
+_COEFFS: dict[LaurentPoly, LaurentPoly] = {}
 
 
 def _bar_closure(c: LaurentPoly) -> LaurentPoly:
@@ -106,39 +103,55 @@ def _check_n(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def global_basis_vectors(n: int, m: int) -> dict[pt.Partition, FockVector]:
-    """The basis vectors G(mu) for all n-regular mu of m.
+    """The basis vectors G(mu) for all n-regular mu of m."""
+    return _bases(n, m)[m]
 
-    Processing runs in ascending lexicographic order (a linear extension of
-    dominance), so every correction target is already available.
+
+def _bases(n: int, m: int) -> list[dict[pt.Partition, FockVector]]:
+    """G(mu) for the n-regular mu of each size 0..m, smallest size first.
+
+    The smaller sizes are this call's own, so its cost does not depend on
+    earlier calls.  Ascending lex order within a size (a linear extension of
+    dominance) makes every correction target available when it is needed.
     """
     _check_n(n)
-    regulars = sorted(pt.enumerate_partitions(m, regular=n), reverse=True)
-    done: dict[pt.Partition, FockVector] = {}
-    for mu in reversed(regulars):  # ascending lex = dominance-compatible
-        vec = monomial_A(mu, n)
-        for nu in regulars:
-            c = vec.terms.get(nu)
-            if c is None or nu == mu:
-                continue
-            gamma = _bar_closure(c)
-            if gamma.is_zero():
-                continue
-            if nu not in done:
-                raise ConventionError(
-                    f"triangularity breach: column {mu} needs uncomputed {nu}"
-                )
-            if not gamma.is_bar_invariant():
-                raise ConventionError("correction coefficient not bar-invariant")
-            vec = vec.minus_scaled(done[nu], gamma)
-        for lam, c in vec.terms.items():
-            if lam != mu and not c.in_qZq():
-                raise ConventionError(
-                    f"column {mu}: coefficient at {lam} not in qZ[q]: {c.to_text()}"
-                )
-        if vec.coeff(mu) != LaurentPoly.one():
-            raise ConventionError(f"column {mu}: leading coefficient not 1")
-        done[mu] = vec
-    return done
+    sizes: list[dict[pt.Partition, FockVector]] = []
+    for s in range(m + 1):
+        regulars = sorted(pt.enumerate_partitions(s, regular=n), reverse=True)
+        done: dict[pt.Partition, FockVector] = {}
+        sizes.append(done)
+        for mu in reversed(regulars):  # ascending lex = dominance-compatible
+            vec = FockVector.basis(n, ())  # G(()); every other mu starts from f_r^(k) G(mu_bar)
+            if mu:
+                res, k, bar = _top_ladder(mu, n)
+                vec = divided_f(res, k, sizes[s - k][bar])
+            if not _leading_ok(vec, mu):
+                raise ConventionError(f"start for {mu} has no unit dominance-triangular leading term")
+            for nu in regulars:
+                c = vec.terms.get(nu)
+                if c is None or nu == mu:
+                    continue
+                gamma = _bar_closure(c)
+                if gamma.is_zero():
+                    continue
+                if nu not in done:
+                    raise ConventionError(
+                        f"triangularity breach: column {mu} needs uncomputed {nu}"
+                    )
+                if not gamma.is_bar_invariant():
+                    raise ConventionError("correction coefficient not bar-invariant")
+                vec = vec.minus_scaled(done[nu], gamma)
+            for lam, c in vec.terms.items():
+                if lam != mu and not c.in_qZq():
+                    raise ConventionError(
+                        f"column {mu}: coefficient at {lam} not in qZ[q]: {c.to_text()}"
+                    )
+            if vec.coeff(mu) != LaurentPoly.one():
+                raise ConventionError(f"column {mu}: leading coefficient not 1")
+            terms = {_PARTS.setdefault(lam, lam): _COEFFS.setdefault(c, c)
+                     for lam, c in vec.terms.items()}
+            done[_PARTS.setdefault(mu, mu)] = FockVector._of(n, terms)
+    return sizes
 
 
 def global_lower_basis(n: int, m: int) -> DecompositionMatrix:
@@ -165,8 +178,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
     _check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    low = global_basis_vectors(n, m - 1)
-    high = global_basis_vectors(n, m)
+    low, high = _bases(n, m)[-2:]
     rows = pt.enumerate_partitions(m, regular=n)
     cols = pt.enumerate_partitions(m - 1, regular=n)
     coeffs: dict[tuple[pt.Partition, pt.Partition], LaurentPoly] = {}
@@ -174,7 +186,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
         vec = FockVector(n, {})
         for i in range(n):
             vec = vec + f_apply(i, low[mu])
-        for lam in sorted(rows, reverse=True):
+        for lam in rows:  # descending lex order, as the elimination needs
             c = vec.coeff(lam)
             if c.is_zero():
                 continue

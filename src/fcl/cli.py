@@ -24,8 +24,10 @@ __all__ = ["main", "dispatch"]
 
 
 def _max_degree_cap() -> int:
-    cap = os.environ.get("FCL_MAX_DEGREE")
-    return int(cap) if cap else 64
+    cap = os.environ.get("FCL_MAX_DEGREE") or "64"
+    if not cap.strip().isdecimal():
+        raise ValueError(f"FCL_MAX_DEGREE must be a nonnegative integer, got {cap!r}")
+    return int(cap)
 
 
 def _check_degree(d: int):

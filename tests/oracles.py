@@ -10,8 +10,9 @@ row, branching counts that list the edge-sum partitions and classify them
 one by one, Gaussian binomials as quotients of q-factorials by long
 division, q-products as repeated ``TruncatedSeries`` products, the node
 model of addable and removable ``Node``s with the classical (q = 1) node
-operators, the signature reduced by deleting RA pairs and rescanning, and
-the crystal graph grown by breadth-first f~_i steps.
+operators, the signature reduced by deleting RA pairs and rescanning, the
+crystal graph grown by breadth-first f~_i steps, and the lower global basis
+corrected from ladder monomials built from the empty partition.
 """
 
 from collections import Counter
@@ -19,8 +20,11 @@ from itertools import combinations
 from typing import NamedTuple
 
 from fcl import specht
+from fcl.canonical import ladders
+from fcl.fock import FockVector, divided_f
 from fcl.partitions import (
-    Partition, check_partition, conjugate, enumerate_partitions, weight_target_profile,
+    Partition, check_partition, conjugate, dominates, enumerate_partitions,
+    weight_target_profile,
 )
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
 from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
@@ -478,3 +482,39 @@ def crystal_graph_bfs(n: int, max_m: int, component_of_empty: bool = True):
                     grown.append(mu)
         frontier = grown
     return nodes, edges
+
+
+def monomial_A(mu: Partition, n: int) -> FockVector:
+    """The ladder monomial: every ladder's divided power, lowest ladder first, on v[()].
+
+    Bar-invariant with leading coefficient 1 at mu and only dominated terms.
+    """
+    vec = FockVector.basis(n, ())
+    for _, res, k in ladders(mu, n):
+        vec = divided_f(res, k, vec)
+    assert vec.coeff(mu) == LaurentPoly.one(), mu
+    assert all(dominates(mu, lam) for lam in vec.terms), mu
+    return vec
+
+
+def global_basis_from_monomials(n: int, m: int) -> dict[Partition, FockVector]:
+    """G(mu) for every n-regular mu of m, each corrected from monomial_A(mu).
+
+    Columns run in ascending lexicographic order; each coefficient c off the
+    diagonal is cleared of its part outside qZ[q] by subtracting
+    gamma * G(nu), gamma the bar-invariant polynomial agreeing with c in
+    exponents <= 0.
+    """
+    done: dict[Partition, FockVector] = {}
+    for mu in reversed(enumerate_partitions(m, regular=n)):
+        vec = monomial_A(mu, n)
+        for nu in enumerate_partitions(m, regular=n):
+            c = vec.coeff(nu)
+            low = {e: k for e, k in c.terms.items() if e <= 0}
+            if nu == mu or not low:
+                continue
+            gamma = LaurentPoly({**low, **{-e: k for e, k in low.items()}})
+            vec = vec - done[nu].scaled(gamma)
+        assert all(lam == mu or c.in_qZq() for lam, c in vec.terms.items()), mu
+        done[mu] = vec
+    return done

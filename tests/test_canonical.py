@@ -1,6 +1,9 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fcl import canonical
 from fcl.canonical import (
     decomposition_matrix,
@@ -8,14 +11,13 @@ from fcl.canonical import (
     global_lower_basis,
     js_canonical,
     ladders,
-    monomial_A,
     restriction_coeffs,
 )
 from fcl.cli import dispatch
 from fcl.crystal import e_tilde, eps_phi
 from fcl.errors import ConventionError
 from fcl.fock import FockVector
-from fcl.partitions import enumerate_partitions, n_core
+from fcl.partitions import enumerate_partitions, is_n_regular, n_core
 from fcl.qseries import LaurentPoly, q_int
 
 Q = LaurentPoly.q_power
@@ -38,23 +40,61 @@ def test_ladder_counts_sum():
 
 
 def test_monomial_examples():
+    monomial_A = oracles.monomial_A
     assert monomial_A((2, 1), 2) == FockVector.basis(2, (2, 1))
     got = monomial_A((3,), 2)
     assert got == FockVector(2, {(3,): one, (1, 1, 1): Q(1)})
     assert monomial_A((1,), 3) == FockVector.basis(3, (1,))
 
 
+def test_basis_matches_the_monomial_oracle():
+    for n in (2, 3, 4, 5):
+        for m in range(13):
+            assert global_basis_vectors(n, m) == oracles.global_basis_from_monomials(n, m), (n, m)
+
+
+@st.composite
+def regular_partitions(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 14))
+    return n, draw(st.sampled_from(enumerate_partitions(m, regular=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regular_partitions())
+def test_top_ladder_removal(case):
+    n, mu = case
+    top = ladders(mu, n)[-1][0]
+    nodes = [(r, c) for r, p in enumerate(mu, start=1) for c in range(1, p + 1)
+             if r + (n - 1) * (c - 1) == top]
+    assert all(c == mu[r - 1] for r, c in nodes)  # every removed node is a row end
+    res, k, bar = canonical._top_ladder(mu, n)
+    assert (res, k) == ladders(mu, n)[-1][1:] and k == len(nodes)
+    assert list(bar) == sorted(bar, reverse=True) and is_n_regular(bar, n)
+    assert sum(bar) == sum(mu) - k
+    assert ladders(bar, n) == ladders(mu, n)[:-1]
+
+
+def test_top_ladder_node_off_a_row_end_is_a_convention_error(monkeypatch):
+    # a ladder map whose top ladder is ladder 1, the node (1, 1): not a row end of (2, 1)
+    monkeypatch.setattr(canonical, "ladders", lambda mu, n: [(1, 0, 1)])
+    with pytest.raises(ConventionError, match=r"top ladder of \(2, 1\) has a node that is not"):
+        canonical._top_ladder((2, 1), 2)
+
+
 def test_monomial_without_unit_leading_term_is_a_convention_error(monkeypatch, capsys):
-    # a divided power off by a factor q leaves the leading coefficient q, not 1
+    # a divided power off by a factor q leaves the leading coefficient q, not 1;
+    # the first column built from a divided power is (1,)
     exact = canonical.divided_f
     monkeypatch.setattr(canonical, "divided_f", lambda i, k, v: exact(i, k, v).scaled(Q(1)))
-    with pytest.raises(ConventionError, match="no unit dominance-triangular leading term"):
-        monomial_A((2, 1), 2)
     global_basis_vectors.cache_clear()
+    with pytest.raises(ConventionError, match="no unit dominance-triangular leading term"):
+        global_basis_vectors(2, 3)
     assert dispatch(["canonical-basis", "--n", "2", "--m", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "internal convention violation: monomial for (2, 1) has no unit" in err
+    assert "internal convention violation: start for (1,) has no unit" in err
+    global_basis_vectors.cache_clear()
 
 
 def test_basis_m3():

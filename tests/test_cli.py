@@ -289,6 +289,22 @@ def test_exit_code_resource_cap(capsys, monkeypatch):
     assert out == "" and "exceeds FCL_MAX_DEGREE=64" in err
 
 
+@pytest.mark.parametrize("cap", ["abc", "-1", "2.5"])
+def test_invalid_degree_cap_exits_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("FCL_MAX_DEGREE", cap)
+    assert dispatch(["virasoro", "--degree", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: FCL_MAX_DEGREE must be a nonnegative integer, got {cap!r}\n"
+
+
+def test_zero_degree_cap_is_valid(capsys, monkeypatch):
+    monkeypatch.setenv("FCL_MAX_DEGREE", "0")
+    assert dispatch(["virasoro", "--degree", "0"]) == 0
+    assert dispatch(["virasoro", "--degree", "1"]) == 4
+    assert "exceeds FCL_MAX_DEGREE=0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["paths", "fermionic"])
 def test_path_cutoff_over_the_bound_exits_4(capsys, source):
     argv = ["branching", "--n", "3", "--j", "0", "--target", "0,0", "--L", "25", "--source", source]
