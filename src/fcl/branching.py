@@ -169,8 +169,8 @@ def branching_series_stable(
     if prof is None:
         return TruncatedSeries({}, 1, degree)
     c, s0 = prof
-    hist = paths._class_histogram(n, n * degree + max(s0, 0))
-    return TruncatedSeries(paths._profile_counts(n, j, c, hist), 1, degree)
+    cap = n * degree + max(s0, 0)
+    return TruncatedSeries(paths._chain_counts(n, j, c, cap, cap), 1, degree)
 
 
 def rocha_caridi(mparam: int, r: int, s: int, order: int) -> TruncatedSeries:
@@ -192,7 +192,7 @@ def rocha_caridi(mparam: int, r: int, s: int, order: int) -> TruncatedSeries:
     for k in range(-K, K + 1):
         for sign, v in ((-1, (m + 1) * r + m * s), (1, (m + 1) * r - m * s)):
             num = (period * k + v) ** 2 - 1  # exponent numerator over denom
-            if Fraction(num, denom) <= order:
+            if num <= denom * order:
                 acc[num] = acc.get(num, 0) + sign
     theta = TruncatedSeries(acc, denom, order)
     return theta * inv_phi(order)
@@ -207,7 +207,7 @@ def _delta_series(L: int, a: int, d: int, order: int) -> TruncatedSeries:
         quad4 = 4 * (L * (L - 1) * nn * nn + L * d * nn) + base4
         lin4 = 4 * (L - 1) * a * nn + 2 * a * d
         for sign, e4 in ((1, quad4 - lin4), (-1, quad4 + lin4)):
-            if Fraction(e4, 4) <= order:
+            if e4 <= 4 * order:
                 terms[e4] = terms.get(e4, 0) + sign
     return TruncatedSeries(terms, 4, order)
 
@@ -233,17 +233,12 @@ def abf_closed(L: int, a: int, b: int, c: int, m: int) -> LaurentPoly:
             binom = qbinom_lower(m, k)
             if binom.is_zero():
                 continue
-            expo = Fraction(
-                4 * nn * (L - 1) * (nn * L - aa)
-                - b * c
-                + (2 * nn * L - aa) * (b + c - 1),
-                4,
-            )
-            out = out + binom.shifted(expo)
+            expo4 = (4 * nn * (L - 1) * (nn * L - aa) - b * c
+                     + (2 * nn * L - aa) * (b + c - 1))  # 4 * exponent
+            out = out + binom.shifted((expo4, 4))
         return out
 
-    shift = Fraction(a * (a - 1), 4)
-    return (F(a) - F(-a)).shifted(shift)
+    return (F(a) - F(-a)).shifted((a * (a - 1), 4))
 
 
 def x_limit(L: int, a: int, b: int, c: int, order: int) -> TruncatedSeries:
@@ -251,7 +246,7 @@ def x_limit(L: int, a: int, b: int, c: int, order: int) -> TruncatedSeries:
     paths._check_heights(L, a, b, c)
     d = (b + c - 1) // 2
     series = _delta_series(L, a, d, order) * inv_phi(order)
-    return series.shifted(Fraction(b * c, 4)).truncate(order)
+    return series.shifted((b * c, 4)).truncate(order)
 
 
 def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:

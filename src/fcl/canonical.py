@@ -115,6 +115,8 @@ def _bases(n: int, m: int) -> list[dict[pt.Partition, FockVector]]:
     dominance) makes every correction target available when it is needed.
     """
     _check_n(n)
+    if m < 0:
+        raise ValueError("m must be >= 0")
     sizes: list[dict[pt.Partition, FockVector]] = []
     for s in range(m + 1):
         regulars = sorted(pt.enumerate_partitions(s, regular=n), reverse=True)

@@ -318,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("canonical-basis", cmd_canonical_basis, help="q-decomposition matrix d(q)")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=5)
+    sp.add_argument("--m", type=_NONNEGATIVE, default=5)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = add("decomp-matrix", cmd_decomp_matrix, help="decomposition matrix at q=1")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=5)
+    sp.add_argument("--m", type=_NONNEGATIVE, default=5)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = add("restriction", cmd_restriction, help="restriction multiplicities c(q)")
@@ -408,6 +408,9 @@ def dispatch(argv: list[str]) -> int:
         return 3
     except ResourceBoundError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("resource cap: input too large to enumerate", file=sys.stderr)
         return 4
     if isinstance(result, tuple):
         text, failures = result

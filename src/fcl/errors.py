@@ -1,7 +1,9 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ConventionError -> 3,
-ResourceBoundError -> 4.  ValueError from argument validation -> 2.
+The CLI's exit codes: 0 on success; 2 for invalid input (argparse errors
+and ValueError); 3 for ConventionError; 4 for ResourceBoundError and for an
+input too large to enumerate (RecursionError); 1 only when ``selfcheck``
+reports a failed oracle.
 """
 
 

@@ -1,7 +1,8 @@
 """Level-1 lattice paths, the highest-lift bijection, restricted paths and
-border-edge classification, together with direct enumeration of branching
-polynomials, irreducible-restriction generating series, and height-model
-configuration sums.
+border-edge classification, together with branching polynomials counted by
+a DP over the part values of the edge-sum partitions (``_chain_counts``,
+which lists none of them), irreducible-restriction generating series by
+listing, and height-model configuration sums.
 
 A path is stored as its residue word gamma(0..k*-1); beyond the stored word
 the residues follow the ground pattern gamma(k) = k mod n.
@@ -12,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from . import partitions as pt
 from .errors import ResourceBoundError
@@ -176,29 +176,38 @@ def js_partitions_upto(
     return tuple(sorted(out, key=lambda lam: (sum(lam), tuple(-p for p in lam))))
 
 
-@lru_cache(maxsize=None)
-def _class_histogram(
-    n: int, max_size: int, max_part: int | None = None
-) -> tuple[tuple[tuple, int], ...]:
-    """((colour, residue counts), count) pairs: how many partitions of
-    js_partitions_upto(n, max_size, max_part) have that fow_classify colour
-    and those residue_counts.
+def _chain_counts(
+    n: int, j: int, c: tuple[int, ...], max_part: int, max_size: int
+) -> dict[int, int]:
+    """E -> number of edge-sum partitions of colour j (or empty), with parts
+    <= max_part and at most max_size nodes, whose residue counts are E + c_i.
 
-    Walks the same chains without listing them: the colour is read off the
-    first block and each block adds its residue counts.
+    A DP over the part values v = max_part..1 that lists no partition.  A
+    state (s, rows mod n, m - m_0) carries {m_0: count}, where s = (v' + a')
+    mod n for the last block (v', a') and s = j before the first block.  Each
+    v is skipped or comes a = (v - s) mod n times, a = 0 forcing the skip:
+    the rule of `_blocks_after`, and a first block of colour (v - a) mod n = j
+    has the same a.
     """
-    hist: Counter = Counter()
-    cap = max_size if max_part is None else max_part
-
-    def expand(colour, m: tuple[int, ...], block, size: int, row: int):
-        hist[colour, m] += 1
-        for v, a in _blocks_after(n, block, max_size - size, cap):
-            expand(colour if block else (v - a) % n,
-                   tuple(map(add, m, pt._block_counts(n, row, v, a))),
-                   (v, a), size + v * a, (row + a) % n)
-
-    expand(ALL_J, (0,) * n, None, 0, 0)
-    return tuple(hist.items())
+    states = {(j, 0, (0,) * n): {0: 1}}
+    for v in range(max_part, 0, -1):
+        grown = {key: dict(m0s) for key, m0s in states.items()}  # v skipped
+        for (s, row, d), m0s in states.items():
+            if not (a := (v - s) % n):
+                continue
+            b = pt._block_counts(n, row, v, a)
+            nd = tuple(x + y - b[0] for x, y in zip(d, b))
+            room = max_size - sum(nd)
+            for m0, count in m0s.items():
+                if n * (m0 + b[0]) <= room:
+                    into = grown.setdefault(((v + a) % n, (row + a) % n, nd), {})
+                    into[m0 + b[0]] = into.get(m0 + b[0], 0) + count
+        states = grown
+    out: Counter = Counter()
+    for (_, _, d), m0s in states.items():
+        if d == c:
+            out.update(m0s)
+    return dict(out)
 
 
 def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
@@ -227,7 +236,9 @@ def chi_js_direct(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
 
 
 # The largest path cutoff L that both branching polynomials (paths and the
-# fermionic form) accept; the path walk below grows exponentially in L.
+# fermionic form) accept.  Both take milliseconds at 24; the cap stays so
+# that `branching --L 25` keeps exit code 4 until every command checks its
+# cost against one budget.
 MAX_L = 24
 
 
@@ -243,23 +254,7 @@ def branching_poly_paths(n: int, j: int, target: tuple[int, int], L: int) -> Lau
         raise ResourceBoundError(f"path cutoff {L} exceeds bound {MAX_L}")
     if prof is None:
         return LaurentPoly.zero()
-    hist = _class_histogram(n, (n - 1) * L * (L + 1) // 2, max_part=L)
-    return LaurentPoly(_profile_counts(n, j, prof[0], hist))
-
-
-def _profile_counts(
-    n: int, j: int, c: tuple[int, ...], hist: tuple[tuple[tuple, int], ...]
-) -> dict[int, int]:
-    """E -> number of histogram partitions of colour j (or empty) with
-    m_i = E + c_i."""
-    out: dict[int, int] = {}
-    for (colour, m), count in hist:
-        if colour != ALL_J and colour != j:
-            continue
-        e = m[0]
-        if all(m[i] == e + c[i] for i in range(n)):
-            out[e] = out.get(e, 0) + count
-    return out
+    return LaurentPoly(_chain_counts(n, j, prof[0], L, (n - 1) * L * (L + 1) // 2))
 
 
 def _check_heights(L: int, a: int, b: int, c: int) -> None:

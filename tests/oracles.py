@@ -15,7 +15,6 @@ crystal graph grown by breadth-first f~_i steps, and the lower global basis
 corrected from ladder monomials built from the empty partition.
 """
 
-from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
@@ -245,14 +244,6 @@ def n_core_walk(lam: Partition, n: int) -> tuple[Partition, int]:
             return cur, weight
         cur = hooks[0][1]
         weight += 1
-
-
-def class_histogram(n: int, max_size: int, max_part: int | None = None) -> Counter:
-    """(colour, residue counts) of every listed edge-sum partition."""
-    return Counter(
-        (fow_classify(lam, n), residue_counts_by_row(lam, n))
-        for lam in js_partitions_upto(n, max_size, max_part)
-    )
 
 
 def profile_counts(

@@ -14,7 +14,7 @@ from fcl.branching import (
 )
 from fcl.crystal import crystal_graph
 from fcl.partitions import _cartan_gram, enumerate_partitions
-from fcl.paths import abf_sum_direct, branching_poly_paths, chi_js_direct
+from fcl.paths import MAX_L, abf_sum_direct, branching_poly_paths, chi_js_direct
 from fcl.qseries import TruncatedSeries
 from oracles import branching_series_listed, geometric_product
 
@@ -41,7 +41,8 @@ def test_cartan_gram_is_n_times_the_inverse():
         assert GC == [[n if i == j else 0 for j in range(n - 1)] for i in range(n - 1)], n
 
 
-RULE_CUTOFFS = {2: range(13), 3: range(13), 4: range(9), 5: range(13), 6: range(11)}
+# every cutoff the CLI accepts for n = 2..5; n = 6 stops at 16 to bound the time
+RULE_CUTOFFS = {**{n: range(MAX_L + 1) for n in range(2, 6)}, 6: range(17)}
 
 
 def _assert_normalization_rule(n, j, target, L):
@@ -58,7 +59,8 @@ def _assert_normalization_rule(n, j, target, L):
 
 
 def test_fermionic_matches_paths_up_to_L12():
-    # every sector (j, s <= t) of n = 2..6; j is fixed by s + t = j mod n
+    # every sector (j, s <= t) of n = 2..6 at every cutoff in RULE_CUTOFFS;
+    # j is fixed by s + t = j mod n
     for n, cutoffs in RULE_CUTOFFS.items():
         for s in range(n):
             for t in range(s, n):

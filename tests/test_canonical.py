@@ -103,6 +103,12 @@ def test_basis_m3():
     assert vecs[(2, 1)] == FockVector.basis(2, (2, 1))
 
 
+def test_negative_size_is_a_value_error():
+    for fn in (global_basis_vectors, global_lower_basis):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            fn(3, -1)
+
+
 def test_basis_m1_identity():
     for n in (2, 3, 4):
         mat = global_lower_basis(n, 1)

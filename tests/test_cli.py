@@ -208,6 +208,8 @@ def test_exit_code_n_below_two(capsys):
         ("chi --n 2 --degree -1", "argument --degree: must be nonnegative, got -1"),
         ("js-list --n 2 --weight -1", "argument --weight: must be nonnegative, got -1"),
         ("crystal-graph --max-m -1", "argument --max-m: must be nonnegative, got -1"),
+        ("canonical-basis --m -1", "argument --m: must be nonnegative, got -1"),
+        ("decomp-matrix --n 3 --m -2", "argument --m: must be nonnegative, got -2"),
         ("branching --target 1", "argument --target: must be two integers s,t"),
         ("branching --target 1,x", "argument --target: must be two integers s,t"),
         ("virasoro --degree -2", "argument --degree: must be nonnegative, got -2"),
@@ -256,6 +258,8 @@ NONNEGATIVE_FLAGS = [
     ("js-list", "--weight"),
     ("crystal-graph", "--max-m"),
     ("crystal-graph", "--max-nodes"),
+    ("canonical-basis", "--m"),
+    ("decomp-matrix", "--m"),
 ]
 
 
@@ -312,6 +316,14 @@ def test_path_cutoff_over_the_bound_exits_4(capsys, source):
     out, err = capsys.readouterr()
     assert out == ""
     assert "path cutoff 25 exceeds bound 24" in err
+
+
+@pytest.mark.parametrize("argv", ["tableaux --shape 1500", "specht-matrix --shape 1200 --gen 1"])
+def test_shape_too_deep_to_enumerate_exits_4(capsys, argv):
+    assert dispatch(argv.split()) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "resource cap: input too large to enumerate\n"
 
 
 def test_deterministic_output(capsys):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcl import paths
 from fcl.partitions import (
     enumerate_partitions,
     format_partition,
@@ -29,7 +28,7 @@ from fcl.paths import (
     to_path,
 )
 from fcl.qseries import LaurentPoly
-from oracles import branching_poly_listed, class_histogram
+from oracles import branching_poly_listed
 
 EXAMPLE_WORD = PathWord((0, 0, 0, 1, 1, 0, 1, 1, 1, 0), 2)
 
@@ -122,24 +121,13 @@ def test_branching_poly_stabilization():
             assert polys[4].coeff(e) <= vals[0]
 
 
-# Part-bounded pools: every cutoff up to the first bound, and the largest
-# cutoff whose listing oracle stays under about a second.
-HISTOGRAM_CUTOFFS = {2: (15, 24), 3: (12, 19), 4: (8, 16), 5: (6, 14)}
-
-
-@pytest.mark.parametrize("n", sorted(HISTOGRAM_CUTOFFS))
-def test_class_histogram_is_the_listed_classification(n):
-    small, largest = HISTOGRAM_CUTOFFS[n]
-    for L in (*range(small + 1), largest):
-        size = (n - 1) * L * (L + 1) // 2
-        assert dict(paths._class_histogram(n, size, L)) == class_histogram(n, size, L), L
-    for size in range(28):
-        assert dict(paths._class_histogram(n, size)) == class_histogram(n, size), size
-
-
 def _sectors(n):
     """Every (j, (s, t)) with s <= t; the unreachable ones count nothing."""
     return [(j, (s, t)) for j in range(n) for s in range(n) for t in range(s, n)]
+
+
+# The largest cutoff whose listing oracle stays under about a second.
+LISTED_CUTOFFS = {2: 24, 3: 19, 4: 16, 5: 14}
 
 
 @pytest.mark.parametrize("n, top", [(2, 14), (3, 12), (4, 9), (5, 7)])
@@ -151,6 +139,11 @@ def test_branching_poly_is_the_listed_count(n, top):
             assert got == branching_poly_listed(n, j, target, L), (j, target, L)
             nonzero += not got.is_zero()
     assert nonzero > top
+    # one sector per colour j at the largest listed cutoff
+    L = LISTED_CUTOFFS[n]
+    for j in range(n):
+        got = branching_poly_paths(n, j, (0, j), L)
+        assert not got.is_zero() and got == branching_poly_listed(n, j, (0, j), L), (j, L)
 
 
 @settings(max_examples=40, deadline=None)
