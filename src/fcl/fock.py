@@ -13,16 +13,19 @@ keeping the running count.  Only for n = 1 can an addable and a removable
 i-node share a column, and only then does removing a node change the count
 to its left; each walk corrects for that in one line.  Each output
 coefficient is summed as integer exponents and built once.
+
+A ``FockVector`` is the one combination type, ``qseries.Combination``,
+labelled by n; its arithmetic, ``minus_scaled`` included, lives there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from . import partitions as pt
 from .errors import ExactDivisionError
-from .qseries import LaurentPoly, gauss_balanced, q_fact, q_int
+from .qseries import (Combination, LaurentPoly, _add_shifted, _built, _lattice, gauss_balanced,
+                      q_fact, q_int)
 
 __all__ = [
     "FockVector",
@@ -35,144 +38,24 @@ __all__ = [
 ]
 
 
-class FockVector:
-    """Finitely-supported combination of partitions with LaurentPoly coefficients."""
+class FockVector(Combination):
+    """Finite combination of partitions with LaurentPoly coefficients; the label is the modulus n."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[pt.Partition, LaurentPoly] | None = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "terms", {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-        )
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("FockVector is immutable")
-
-    @staticmethod
-    def _of(n: int, terms: dict[pt.Partition, LaurentPoly]) -> "FockVector":
-        """Wrap ``terms`` as they are; the caller guarantees no zero coefficient."""
-        v = object.__new__(FockVector)
-        object.__setattr__(v, "n", n)
-        object.__setattr__(v, "terms", terms)
-        return v
+    __slots__ = ()
+    n = property(lambda self: self.label)
 
     @staticmethod
     def basis(n: int, lam: pt.Partition) -> "FockVector":
         return FockVector(n, {tuple(lam): LaurentPoly.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, lam: pt.Partition) -> LaurentPoly:
-        return self.terms.get(tuple(lam), LaurentPoly.zero())
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if self.n != other.n:
-            raise ValueError("mixed moduli")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + v
-        return FockVector(self.n, out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        if self.n != other.n:
-            raise ValueError("mixed moduli")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] - v if k in out else -v
-        return FockVector(self.n, out)
-
-    def scaled(self, c: LaurentPoly) -> "FockVector":
-        return FockVector(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def minus_scaled(self, other: "FockVector", c: LaurentPoly) -> "FockVector":
-        """self - c * other, in one pass.
-
-        Each coefficient that other touches is summed as exponent numerators
-        on the common lattice and built once; the rest are kept as they are.
-        """
-        if self.n != other.n:
-            raise ValueError("mixed moduli")
-        den = lcm(_lattice(self), _lattice(other), c.den)
-        fc = den // c.den
-        minus_c = [(k * fc, -v) for k, v in c.terms.items()]
-        acc: dict[pt.Partition, dict[int, int]] = {}
-        for lam, b in other.terms.items():
-            t = acc[lam] = {}
-            a = self.terms.get(lam)
-            if a is not None:
-                _add_shifted(t, a, 0, den)
-            fb = den // b.den
-            for kb, vb in b.terms.items():
-                kb *= fb
-                for kc, vc in minus_c:
-                    k = kb + kc
-                    t[k] = t.get(k, 0) + vb * vc
-        built = _build(self.n, acc, den).terms
-        out = dict(self.terms)
-        out.update(built)
-        for lam in acc.keys() - built.keys():
-            out.pop(lam, None)
-        return FockVector._of(self.n, out)
-
-    def map_coeffs(self, f) -> "FockVector":
-        return FockVector(self.n, {k: f(v) for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
     def support(self) -> list[pt.Partition]:
         return sorted(self.terms, reverse=True)
 
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for lam in self.support():
-            c = self.terms[lam]
-            ctext = c.to_text()
-            if len(c.terms) > 1 or ctext.startswith("-"):
-                ctext = f"({ctext})"
-            chunks.append(f"{ctext} * v[{pt.format_partition(lam)}]")
-        return " + ".join(chunks)
+    _ordered = support
 
-    def __repr__(self):
-        return f"FockVector({self.to_text()!r})"
-
-
-def _lattice(u: FockVector) -> int:
-    """The common exponent denominator of u's coefficients."""
-    den = 1
-    for c in u.terms.values():
-        if c.den != den:
-            den = lcm(den, c.den)
-    return den
-
-
-def _add_shifted(t: dict[int, int], c: LaurentPoly, e: int, den: int) -> None:
-    """Add q**e * c into the numerators ``t`` of the lattice ``den``."""
-    f = den // c.den
-    e *= den
-    for k, v in c.terms.items():
-        k = k * f + e
-        t[k] = t.get(k, 0) + v
-
-
-def _build(n: int, acc: dict[pt.Partition, dict[int, int]], den: int) -> FockVector:
-    """The FockVector of the accumulated numerators, each coefficient built once."""
-    out = {}
-    for nu, t in acc.items():
-        if 0 in t.values():  # contributions cancelled
-            t = {k: v for k, v in t.items() if v}
-        if t:
-            out[nu] = LaurentPoly._from_canonical(t) if den == 1 else LaurentPoly(t, den)
-    return FockVector._of(n, out)
+    @staticmethod
+    def _key_text(lam: pt.Partition) -> str:
+        return f"v[{pt.format_partition(lam)}]"
 
 
 def f_apply(i: int, u: FockVector) -> FockVector:
@@ -187,9 +70,9 @@ def f_apply(i: int, u: FockVector) -> FockVector:
                 w = count
                 if n == 1 and r and lam[r - 1] == col:
                     w += 1  # n = 1: the counted removable end of row r-1 is in this column
-                _add_shifted(acc.setdefault(pt._grown(lam, r), {}), c, w, den)
+                _add_shifted(acc.setdefault(pt._grown(lam, r), {}), c, w * den, den)
             count += s
-    return _build(n, acc, den)
+    return FockVector._of(n, _built(acc, den))
 
 
 def e_apply(i: int, u: FockVector) -> FockVector:
@@ -206,16 +89,16 @@ def e_apply(i: int, u: FockVector) -> FockVector:
                 # node makes (r, col-1) removable (in the smaller partition,
                 # not counted); either way the count is one too high.
                 w = count - 1 if n == 1 else count
-                _add_shifted(acc.setdefault(pt._shrunk(lam, r), {}), c, -w, den)
+                _add_shifted(acc.setdefault(pt._shrunk(lam, r), {}), c, -w * den, den)
             count += s
-    return _build(n, acc, den)
+    return FockVector._of(n, _built(acc, den))
 
 
 def diag_apply(kind: str, lam: pt.Partition, n: int, i: int = 0) -> LaurentPoly:
     """Eigenvalue of q^(h_i) (kind='h') or q^D (kind='D') on a basis vector."""
-    if kind in ("h", "h_i"):
+    if kind == "h":
         return LaurentPoly.q_power(sum(s for _, _, s in pt._inodes(lam, n, i)))
-    if kind in ("D", "d"):
+    if kind == "D":
         return LaurentPoly.q_power(-pt.residue_counts(lam, n)[0])
     raise ValueError(f"unknown diagonal kind {kind!r}")
 

@@ -1,4 +1,6 @@
-"""Exact Laurent polynomials and truncated power series over Z.
+"""Exact Laurent polynomials and truncated power series over Z, and
+``Combination``, the one type of finite combination of basis keys with
+Laurent polynomial coefficients (Fock and Specht vectors subclass it).
 
 Exponents live on a rational lattice: each value stores integer numerators
 together with a positive denominator ``den``, so ``q**(k/den)`` powers are
@@ -16,6 +18,7 @@ from .errors import ExactDivisionError
 
 __all__ = [
     "LaurentPoly",
+    "Combination",
     "TruncatedSeries",
     "bar",
     "q_int",
@@ -281,6 +284,134 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly({})
 _ONE = LaurentPoly({0: 1})
+_MINUS_ONE = LaurentPoly({0: -1})
+
+
+def _lattice(u: "Combination") -> int:
+    """The common exponent denominator of u's coefficients."""
+    den = 1
+    for c in u.terms.values():
+        if c.den != den:
+            den = lcm(den, c.den)
+    return den
+
+
+def _add_shifted(t: dict[int, int], c: LaurentPoly, s: int, den: int = 1, f: int = 1) -> None:
+    """Add f * q**(s/den) * c into the numerators ``t`` of the lattice ``den``."""
+    g = den // c.den
+    for k, v in c.terms.items():
+        k = k * g + s
+        t[k] = t.get(k, 0) + f * v
+
+
+def _built(acc: dict, den: int = 1) -> dict:
+    """{key: {numerator: coefficient}} on the lattice ``den`` as {key: LaurentPoly}.
+
+    Each coefficient is built once; keys whose contributions all cancel are
+    dropped.
+    """
+    out = {}
+    for key, t in acc.items():
+        if 0 in t.values():  # contributions cancelled
+            t = {k: v for k, v in t.items() if v}
+        if t:
+            out[key] = LaurentPoly._from_canonical(t) if den == 1 else LaurentPoly(t, den)
+    return out
+
+
+class Combination:
+    """A finite combination of basis keys with nonzero LaurentPoly coefficients.
+
+    ``label`` names the space the combination lives in; arithmetic on two
+    combinations with different labels is a ValueError.  Subclasses give the
+    printing order of the keys (``_ordered``), the text of one key
+    (``_key_text``) and the variable name (``_var``).
+    """
+
+    __slots__ = ("label", "terms")
+    _var = "q"
+
+    def __init__(self, label, terms: dict | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(
+            self, "terms", {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+        )
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _of(cls, label, terms: dict):
+        """Wrap ``terms`` as they are; the caller guarantees no zero coefficient."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "label", label)
+        object.__setattr__(v, "terms", terms)
+        return v
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, key) -> LaurentPoly:
+        return self.terms.get(tuple(key), _ZERO)
+
+    def scaled(self, c: LaurentPoly):
+        return type(self)(self.label, {k: v * c for k, v in self.terms.items()})
+
+    def map_coeffs(self, f):
+        return type(self)(self.label, {k: f(v) for k, v in self.terms.items()})
+
+    def minus_scaled(self, other: "Combination", c: LaurentPoly):
+        """self - c * other, in one pass.
+
+        Each coefficient that other touches is summed as exponent numerators
+        on the common lattice and built once; the rest are kept as they are.
+        """
+        if self.label != other.label:
+            raise ValueError(f"mixed labels {self.label!r} and {other.label!r}")
+        den = lcm(_lattice(self), _lattice(other), c.den)
+        minus_c = [(k * (den // c.den), -v) for k, v in c.terms.items()]
+        acc: dict = {}
+        for key, b in other.terms.items():
+            t = acc[key] = {}
+            a = self.terms.get(key)
+            if a is not None:
+                _add_shifted(t, a, 0, den)
+            for s, f in minus_c:
+                _add_shifted(t, b, s, den, f)
+        built = _built(acc, den)
+        out = dict(self.terms)
+        out.update(built)
+        for key in acc.keys() - built.keys():
+            out.pop(key, None)
+        return self._of(self.label, out)
+
+    def __add__(self, other: "Combination"):
+        return self.minus_scaled(other, _MINUS_ONE)
+
+    def __sub__(self, other: "Combination"):
+        return self.minus_scaled(other, _ONE)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.label == other.label and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.label, tuple(sorted(self.terms.items()))))
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for key in self._ordered():
+            c = self.terms[key].to_text(self._var)
+            if " " in c or c.startswith("-"):  # more than one term, or a sign
+                c = f"({c})"
+            chunks.append(f"{c} * {self._key_text(key)}")
+        return " + ".join(chunks)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()!r})"
 
 
 def bar(p: LaurentPoly) -> LaurentPoly:

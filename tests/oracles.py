@@ -12,7 +12,9 @@ division, q-products as repeated ``TruncatedSeries`` products, the node
 model of addable and removable ``Node``s with the classical (q = 1) node
 operators, the signature reduced by deleting RA pairs and rescanning, the
 crystal graph grown by breadth-first f~_i steps, and the lower global basis
-corrected from ladder monomials built from the empty partition.
+corrected from ladder monomials built from the empty partition.  The
+arithmetic of Fock and Specht vectors is checked key by key with
+``LaurentPoly`` operations.
 """
 
 from itertools import combinations
@@ -67,6 +69,13 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
+
+
+def minus_scaled(u, w, c: LaurentPoly) -> dict:
+    """The terms of u - c * w for two combinations, one ``LaurentPoly``
+    operation per key, zero coefficients dropped."""
+    out = {k: u.coeff(k) - c * w.coeff(k) for k in u.terms.keys() | w.terms.keys()}
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:

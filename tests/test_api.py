@@ -20,3 +20,17 @@ def test_node_model_is_private_to_partitions():
                  "node_lists", "content_lists"):
         assert not hasattr(partitions, name), name
     assert not hasattr(fock, "classical_apply")
+
+
+def test_one_combination_type_and_one_accumulator():
+    # Fock and Specht vectors take their arithmetic, equality and text from
+    # qseries.Combination, and sum coefficients with qseries' accumulator
+    from fcl import fock, qseries, specht
+
+    for cls in (fock.FockVector, specht.SpechtVector):
+        assert issubclass(cls, qseries.Combination), cls.__name__
+        for name in ("__add__", "__sub__", "scaled", "minus_scaled", "__eq__", "to_text"):
+            assert name not in vars(cls), f"{cls.__name__}.{name}"
+    for mod in (fock, specht):
+        for name in ("_pruned", "_built", "_lattice", "_add_shifted", "_build"):
+            assert getattr(mod, name, None) in (None, getattr(qseries, name, None)), name

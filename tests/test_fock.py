@@ -7,9 +7,11 @@ node bookkeeping.
 
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fcl import partitions
 from fcl.fock import (
     FockVector,
@@ -191,14 +193,25 @@ def test_action_is_the_linear_oracle_on_spans(case):
 @settings(max_examples=150, deadline=None)
 @given(spans(), spans(), coefficients, st.booleans())
 def test_minus_scaled_is_subtracting_the_scaled_vector(a, b, c, cancel):
-    """self - c * other in one pass, on mixed lattices and with full cancellation."""
+    """self - c * other in one pass, on mixed lattices and with full cancellation,
+    against key-by-key LaurentPoly arithmetic; + and - are the cases c = -1, 1."""
     u = a[2]
     w = FockVector(u.n, b[2].terms)
+    one = LaurentPoly.one()
     if cancel:
-        u, w, c = u + w, w, LaurentPoly.one()
+        u, c = FockVector(u.n, oracles.minus_scaled(u, w, -one)), one
     got = u.minus_scaled(w, c)
-    assert got == u - w.scaled(c)
+    assert got.terms == oracles.minus_scaled(u, w, c)
     assert all(canonical(x) for x in got.terms.values())
+    assert (u + w).terms == oracles.minus_scaled(u, w, -one)
+    assert (u - w).terms == oracles.minus_scaled(u, w, one)
+
+
+def test_arithmetic_on_two_moduli_is_a_value_error():
+    u, w = FockVector.basis(2, (1,)), FockVector.basis(3, (1,))
+    for op in (FockVector.__add__, FockVector.__sub__):
+        with pytest.raises(ValueError, match="mixed labels 2 and 3"):
+            op(u, w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,6 +255,9 @@ def test_diag_examples():
     assert diag_apply("h", (), 2, 0) == Q(1)
     assert diag_apply("D", (), 2) == LaurentPoly.one()
     assert diag_apply("h", (1,), 2, 0) == Q(-1)
+    for kind in ("h_i", "d", "x"):
+        with pytest.raises(ValueError, match="unknown diagonal kind"):
+            diag_apply(kind, (), 2)
 
 
 def test_diag_matches_weight_pairing():

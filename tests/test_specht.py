@@ -246,11 +246,27 @@ def fillings(draw, max_size=8):
 @given(fillings())
 def test_straighten_and_garnir_are_the_oracle(t):
     assert straighten(t).terms == oracles.straighten(t)
+    # SpechtVector arithmetic against key-by-key LaurentPoly arithmetic, on the
+    # straightened filling and the one with every entry e replaced by m + 1 - e
+    m = sum(map(len, t))
+    u, w = straighten(t), straighten(tuple(tuple(m + 1 - e for e in row) for row in t))
+    for c in (V_MINUS_1, -Q(-2), one):
+        assert u.minus_scaled(w, c).terms == oracles.minus_scaled(u, w, c)
+    assert (u + w).terms == oracles.minus_scaled(u, w, -one)
+    assert (u - w).terms == oracles.minus_scaled(u, w, one)
+    assert (u - u).is_zero() and not (u + u).is_zero()
     _, z = oracles.column_sort(t)
     for r, row in enumerate(z):
         for c in range(len(row) - 1):
             if row[c] > row[c + 1]:
                 assert garnir(z, r + 1, c + 1) == oracles.garnir(z, r + 1, c + 1)
+
+
+def test_arithmetic_on_two_shapes_is_a_value_error():
+    u, w = straighten(t_minus((3, 2))), straighten(t_minus((2, 2, 1)))
+    for op in (SpechtVector.__add__, SpechtVector.__sub__):
+        with pytest.raises(ValueError, match=r"mixed labels \(3, 2\) and \(2, 2, 1\)"):
+            op(u, w)
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
