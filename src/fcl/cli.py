@@ -18,7 +18,7 @@ from itertools import chain
 from . import branching, canonical, crystal, fock, paths, specht
 from . import partitions as pt
 from .errors import ConventionError, ExactDivisionError, ResourceBoundError
-from .qseries import LaurentPoly, TruncatedSeries
+from .qseries import _ZERO, LaurentPoly, TruncatedSeries
 
 __all__ = ["main", "dispatch"]
 
@@ -47,15 +47,17 @@ def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cel
     """A matrix of LaurentPoly entries labelled by rows and cols, each shown as cell(entry).
 
     CSV has a header of column labels, one line per row label and '.' for a
-    zero entry; JSON has the head fields plus "entries".
+    zero entry; JSON has the head fields plus "entries".  The library fills
+    its matrices with the one zero ``_ZERO``, so a zero is found by identity
+    first; ``is_zero`` catches any other.
     """
-    if fmt == "json":
-        body = [[cell(e) for e in row] for row in entries]
-        return json.dumps({**head, "entries": body}, sort_keys=True)
-    lines = (
-        [label, *("." if e.is_zero() else cell(e) for e in row)]
-        for label, row in zip(rows, entries)
+    zero = cell(_ZERO) if fmt == "json" else "."
+    body = (
+        [zero if e is _ZERO or e.is_zero() else cell(e) for e in row] for row in entries
     )
+    if fmt == "json":
+        return json.dumps({**head, "entries": list(body)}, sort_keys=True)
+    lines = ([label, *cells] for label, cells in zip(rows, body))
     return _csv(chain([["", *cols]], lines))
 
 
@@ -296,7 +298,17 @@ def cmd_selfcheck(args) -> str:
     return "\n".join(lines), failures
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built on the first call, then the same one for the process.
+
+    Parsing keeps no state between calls, so every ``dispatch`` can share it.
+    """
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     p = argparse.ArgumentParser(
         prog="fcl",
         description="Exact combinatorics of level-1 paths, q-Fock spaces, "
@@ -389,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     add("selfcheck", cmd_selfcheck, help="run internal consistency oracles")
+    _PARSER = p
     return p
 
 

@@ -258,19 +258,20 @@ class LaurentPoly:
         """
         if not self.terms:
             return "0"
+        den = self.den
         parts = []
         for n in sorted(self.terms):
             c = self.terms[n]
-            e = Fraction(n, self.den)
-            if e == 0:
+            if n == 0:
                 body = str(abs(c))
             else:
-                if e == 1:
+                g = gcd(n, den)  # the exponent n/den in lowest terms is (n/g)/(den/g)
+                if n == den:
                     p = var
-                elif e.denominator == 1:
-                    p = f"{var}^{e.numerator}"
+                elif g == den:
+                    p = f"{var}^{n // g}"
                 else:
-                    p = f"{var}^{e.numerator}/{e.denominator}"
+                    p = f"{var}^{n // g}/{den // g}"
                 body = p if abs(c) == 1 else f"{abs(c)}*{p}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)

@@ -14,9 +14,11 @@ operators, the signature reduced by deleting RA pairs and rescanning, the
 crystal graph grown by breadth-first f~_i steps, and the lower global basis
 corrected from ladder monomials built from the empty partition.  The
 arithmetic of Fock and Specht vectors is checked key by key with
-``LaurentPoly`` operations.
+``LaurentPoly`` operations, and polynomial text is built from ``Fraction``
+exponents.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -290,6 +292,31 @@ def branching_series_listed(
     c, s0 = prof
     pool = js_partitions_upto(n, n * degree + max(s0, 0))
     return TruncatedSeries(profile_counts(n, j, c, pool), 1, degree)
+
+
+def laurent_text(p: LaurentPoly, var: str = "q") -> str:
+    """p's canonical text with each exponent built as a ``Fraction``."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for n in sorted(p.terms):
+        c = p.terms[n]
+        e = Fraction(n, p.den)
+        if e == 0:
+            body = str(abs(c))
+        else:
+            if e == 1:
+                x = var
+            elif e.denominator == 1:
+                x = f"{var}^{e.numerator}"
+            else:
+                x = f"{var}^{e.numerator}/{e.denominator}"
+            body = x if abs(c) == 1 else f"{abs(c)}*{x}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 def pochhammer(k: int) -> LaurentPoly:

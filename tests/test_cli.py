@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcl.cli import dispatch
+from fcl import cli
+from fcl.cli import _matrix, build_parser, dispatch
+from fcl.qseries import _ZERO, LaurentPoly
 
 
 def run(capsys, *argv):
@@ -381,3 +383,48 @@ def test_cores_text(capsys):
     code, out = run(capsys, "cores", "--partition", "7,5,4,4", "--n", "4")
     assert code == 0
     assert out.strip() == "core=0 weight=5 hooks=4"
+
+
+ONE, V = LaurentPoly.one(), LaurentPoly.q_power(1)
+
+
+@pytest.mark.parametrize("cell, zero_cell", [(LaurentPoly.to_text, "0"), (LaurentPoly.eval_one, 0)])
+@pytest.mark.parametrize("zero", [LaurentPoly({}), LaurentPoly({0: 0})])
+def test_matrix_finds_a_zero_that_is_not_the_singleton(cell, zero_cell, zero):
+    assert zero is not _ZERO and zero.is_zero()
+    entries = [[zero, ONE], [V, _ZERO]]
+    args = ({"n": 2}, ["a", "b,c"], ["x", "y"], entries, cell)
+    assert _matrix("csv", *args) == f',x,y\na,.,{cell(ONE)}\n"b,c",{cell(V)},.\n'
+    payload = json.loads(_matrix("json", *args))
+    assert payload == {"n": 2, "entries": [[zero_cell, cell(ONE)], [cell(V), zero_cell]]}
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_parser_reuse_after_an_error_and_help(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)  # the next dispatch is the parser's first use
+    argv = ["decomp-matrix", "--n", "3", "--m", "4", "--format", "json"]
+    code, first = run(capsys, *argv)
+    assert code == 0 and first
+    parser = build_parser()
+    assert dispatch(["decomp-matrix", "--format", "xml"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'xml'" in err
+    assert dispatch(["decomp-matrix", "--help"]) == 0
+    assert "usage: fcl decomp-matrix" in capsys.readouterr().out
+    assert run(capsys, *argv) == (0, first)
+    assert build_parser() is parser
+
+
+def test_every_failing_parse_writes_to_the_current_stderr():
+    failures = [
+        (["decomp-matrix", "--m", "x"], "argument --m: invalid integer value: 'x'"),
+        (["specht-matrix", "--gen", "2"], "the following arguments are required: --shape"),
+    ]
+    for argv, message in failures:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(argv) == 2
+        assert err.getvalue().startswith(f"usage: fcl {argv[0]}") and message in err.getvalue()

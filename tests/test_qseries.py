@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcl.errors import ExactDivisionError
 from fcl.partitions import enumerate_partitions
@@ -22,6 +24,7 @@ from oracles import (
     euler_product,
     gauss_balanced_divided,
     geometric_product,
+    laurent_text,
     partition_counts,
     qbinom_lower_divided,
 )
@@ -134,6 +137,25 @@ def test_text_forms():
     assert (LaurentPoly.const(-3) * Q(2)).to_text() == "-3*q^2"
     assert (one - Q(1)).to_text() == "1 - q"
     assert LaurentPoly.zero().to_text() == "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(-40, 40), st.integers(-12, 12), max_size=8),
+    st.integers(1, 6),
+    st.sampled_from(["q", "v"]),
+)
+def test_text_matches_the_fraction_oracle(terms, den, var):
+    p = LaurentPoly(terms, den)
+    assert p.to_text(var) == laurent_text(p, var)
+
+
+def test_text_reduces_each_exponent():
+    p = LaurentPoly({1: 1, 2: -1, -3: 2}, 2)  # exponents 1/2, 2/2 and -3/2
+    assert p.den == 2
+    assert p.to_text("v") == "2*v^-3/2 + v^1/2 - v" == laurent_text(p, "v")
+    assert LaurentPoly({-6: 1, 4: 3}, 6).to_text() == "q^-1 + 3*q^2/3"
+    assert LaurentPoly({1: 1, 3: -1, 12: 1}, 6).to_text() == "q^1/6 - q^1/2 + q^2"
 
 
 def test_q_fact_degrees():
