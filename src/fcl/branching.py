@@ -18,7 +18,6 @@ from math import isqrt
 
 from . import partitions as pt
 from . import paths
-from .errors import ResourceBoundError
 from .qseries import LaurentPoly, TruncatedSeries, inv_phi, q_product, qbinom_lower
 
 __all__ = [
@@ -125,8 +124,6 @@ def fermionic_poly(
     """
     reachable = pt.weight_target_profile(n, j, target) is not None
     s, t = sorted(target)
-    if L > paths.MAX_L:
-        raise ResourceBoundError(f"path cutoff {L} exceeds bound {paths.MAX_L}")
     raw = _fermionic_raw(n, s, t, L) if reachable else LaurentPoly.zero()
     shift = Fraction(_shift(n, s, t) if not raw.is_zero() else 0)
     return FermionicBranching(raw, raw.shifted(-shift), shift)

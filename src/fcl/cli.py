@@ -1,8 +1,11 @@
 """Command-line front end: every computation as a subcommand with
 reproducible text/json/csv/dot output.
 
-Exit codes: 0 success, 2 invalid arguments, 3 internal convention-violation
-assertion, 4 resource cap exceeded.
+Each subparser sets a ``cost`` estimate from the parsed arguments, and
+``dispatch`` refuses a command whose estimate is over ``BUDGET`` before any
+work starts.  Exit codes: 0 success, 2 invalid arguments, 3 internal
+convention-violation assertion, 4 over the cost budget (or an input too deep
+to enumerate).
 """
 
 from __future__ import annotations
@@ -11,29 +14,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from itertools import chain
+from math import comb, factorial, prod
 
 from . import branching, canonical, crystal, fock, paths, specht
 from . import partitions as pt
 from .errors import ConventionError, ExactDivisionError, ResourceBoundError
-from .qseries import _ZERO, LaurentPoly, TruncatedSeries
+from .qseries import _ZERO, LaurentPoly, TruncatedSeries, inv_phi
 
-__all__ = ["main", "dispatch"]
-
-
-def _max_degree_cap() -> int:
-    cap = os.environ.get("FCL_MAX_DEGREE") or "64"
-    if not cap.strip().isdecimal():
-        raise ValueError(f"FCL_MAX_DEGREE must be a nonnegative integer, got {cap!r}")
-    return int(cap)
-
-
-def _check_degree(d: int):
-    cap = _max_degree_cap()
-    if d > cap:
-        raise ResourceBoundError(f"degree {d} exceeds FCL_MAX_DEGREE={cap}")
+__all__ = ["main", "dispatch", "BUDGET"]
 
 
 def _csv(rows) -> str:
@@ -100,54 +90,29 @@ def _parse_target(text: str) -> tuple[int, int]:
 
 
 def cmd_crystal_graph(args) -> str:
-    _check_degree(args.max_m)
-    g = crystal.crystal_graph(
-        args.n, args.max_m, component_of_empty=not args.full, max_nodes=args.max_nodes
-    )
+    g = crystal.crystal_graph(args.n, args.max_m, component_of_empty=not args.full)
     if args.format == "dot":
         return crystal.to_dot(g)
+    edges = [(pt.format_partition(a), i, pt.format_partition(b)) for a, i, b in g.edges]
     if args.format == "json":
-        return json.dumps(
-            {
-                "n": g.n,
-                "max_m": g.max_m,
-                "nodes": [pt.format_partition(x) for x in g.nodes],
-                "edges": [
-                    [pt.format_partition(a), i, pt.format_partition(b)]
-                    for a, i, b in g.edges
-                ],
-            },
-            sort_keys=True,
-        )
-    lines = [f"nodes {len(g.nodes)} edges {len(g.edges)}"]
-    for a, i, b in g.edges:
-        lines.append(f"{pt.format_partition(a)} -{i}-> {pt.format_partition(b)}")
-    return "\n".join(lines)
+        nodes = [pt.format_partition(x) for x in g.nodes]
+        payload = {"n": g.n, "max_m": g.max_m, "nodes": nodes, "edges": [list(e) for e in edges]}
+        return json.dumps(payload, sort_keys=True)
+    lines = [f"{a} -{i}-> {b}" for a, i, b in edges]
+    return "\n".join([f"nodes {len(g.nodes)} edges {len(g.edges)}", *lines])
 
 
-def _decomposition(fmt: str, mat: canonical.DecompositionMatrix, cell) -> str:
+def cmd_decomposition(args) -> str:
+    """canonical-basis, decomp-matrix (the same matrix at q = 1) and restriction."""
+    if args.command == "restriction":
+        mat = canonical.restriction_coeffs(args.n, args.m)
+    else:
+        mat = canonical.global_lower_basis(args.n, args.m)
+    cell = LaurentPoly.eval_one if args.command == "decomp-matrix" else LaurentPoly.to_text
     rows = [pt.format_partition(r) for r in mat.rows]
     cols = [pt.format_partition(c) for c in mat.cols]
     head = {"n": mat.n, "m": mat.m, "rows": rows, "cols": cols}
-    return _matrix(fmt, head, rows, cols, mat.entries, cell)
-
-
-def cmd_canonical_basis(args) -> str:
-    _check_degree(args.m)
-    mat = canonical.global_lower_basis(args.n, args.m)
-    return _decomposition(args.format, mat, LaurentPoly.to_text)
-
-
-def cmd_decomp_matrix(args) -> str:
-    _check_degree(args.m)
-    mat = canonical.global_lower_basis(args.n, args.m)
-    return _decomposition(args.format, mat, LaurentPoly.eval_one)
-
-
-def cmd_restriction(args) -> str:
-    _check_degree(args.m)
-    mat = canonical.restriction_coeffs(args.n, args.m)
-    return _decomposition(args.format, mat, LaurentPoly.to_text)
+    return _matrix(args.format, head, rows, cols, mat.entries, cell)
 
 
 def cmd_specht_matrix(args) -> str:
@@ -195,7 +160,6 @@ def cmd_fow(args) -> str:
 
 
 def cmd_branching(args) -> str:
-    _check_degree(args.degree)
     if args.source == "paths":
         poly = paths.branching_poly_paths(args.n, args.j, args.target, args.L)
         return _emit(poly, args.format)
@@ -209,7 +173,6 @@ def cmd_branching(args) -> str:
 
 
 def cmd_chi(args) -> str:
-    _check_degree(args.degree)
     core = pt.parse_partition(args.core)
     if args.source == "direct":
         series = paths.chi_js_direct(args.n, core, args.degree)
@@ -220,11 +183,9 @@ def cmd_chi(args) -> str:
 
 def cmd_abf(args) -> str:
     if args.source == "limit":
-        _check_degree(args.degree)
         series = branching.x_limit(args.L, args.a, args.b, args.c, args.degree)
         return _emit(series, args.format)
     if args.source == "closed":
-        _check_degree(args.m)
         poly = branching.abf_closed(args.L, args.a, args.b, args.c, args.m)
     else:
         poly = paths.abf_sum_direct(args.L, args.a, args.b, args.c, args.m)
@@ -232,7 +193,6 @@ def cmd_abf(args) -> str:
 
 
 def cmd_virasoro(args) -> str:
-    _check_degree(args.degree)
     series = branching.rocha_caridi(args.mparam, args.r, args.s, args.degree)
     return _emit(series, args.format)
 
@@ -242,60 +202,111 @@ def cmd_cores(args) -> str:
     core, weight = pt.n_core(lam, args.n)
     hooks = pt.rim_hook_count(lam, args.n)
     if args.format == "json":
-        return json.dumps(
-            {
-                "partition": pt.format_partition(lam),
-                "n": args.n,
-                "core": pt.format_partition(core),
-                "weight": weight,
-                "hooks": hooks,
-            },
-            sort_keys=True,
-        )
+        payload = {"partition": pt.format_partition(lam), "n": args.n,
+                   "core": pt.format_partition(core), "weight": weight, "hooks": hooks}
+        return json.dumps(payload, sort_keys=True)
     return f"core={pt.format_partition(core)} weight={weight} hooks={hooks}"
 
 
-def cmd_selfcheck(args) -> str:
+def cmd_selfcheck(args) -> tuple[str, int]:
     lines = []
-    failures = 0
 
     def record(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + detail) if detail else ''}")
-        if not ok:
-            failures += 1
 
     for n in (2, 3):
         rep = fock.relation_check(n, 4)
         record(f"fock-relations n={n} m<=4", rep.ok, "; ".join(rep.failures[:2]))
     for n in (2, 3):
-        ok = True
-        for m in range(0, 7):
-            for lam in pt.enumerate_partitions(m, regular=n):
-                a = crystal.js_crystal(lam, n)
-                b = paths.js_combinatorial(lam, n)
-                c = canonical.js_canonical(lam, n)
-                if not (a == b == c):
-                    ok = False
-        record(f"js-three-way n={n} m<=6", ok)
+        lams = [lam for m in range(7) for lam in pt.enumerate_partitions(m, regular=n)]
+        record(f"js-three-way n={n} m<=6", all(
+            crystal.js_crystal(lam, n) == paths.js_combinatorial(lam, n) == canonical.js_canonical(lam, n)
+            for lam in lams))
     for n in (2, 3):
-        ok = True
-        for m in range(0, 9):
-            for lam in pt.enumerate_partitions(m, regular=n):
-                if paths.to_partition(paths.to_path(lam, n)) != lam:
-                    ok = False
-        record(f"path-bijection n={n} m<=8", ok)
+        lams = [lam for m in range(9) for lam in pt.enumerate_partitions(m, regular=n)]
+        record(f"path-bijection n={n} m<=8",
+               all(paths.to_partition(paths.to_path(lam, n)) == lam for lam in lams))
     ok = True
     for (j, st) in ((0, (0, 0)), (0, (1, 2)), (1, (0, 1)), (1, (2, 2)), (2, (0, 2)), (2, (1, 1))):
         fb = branching.fermionic_poly(3, j, st, 9)
         series = crystal.branching_series_crystal(3, j, st, 3)
-        for e in range(4):
-            if fb.normalized.coeff(e) != series.coeff(e):
-                ok = False
+        ok = ok and all(fb.normalized.coeff(e) == series.coeff(e) for e in range(4))
     record("branching-three-way n=3 deg<=3", ok)
+    failures = sum(line.startswith("FAIL") for line in lines)
     if failures:
         lines.append(f"{failures} failing invariant(s)")
     return "\n".join(lines), failures
+
+
+# The cost budget of one command.  Each subparser's estimate is a closed count
+# of the command's innermost steps, weighted so that a unit is about 1 us on a
+# 2-vCPU x86-64 host with CPython 3.11 (a Specht matrix cell, about 30 bytes,
+# is a unit): admitted commands take up to about 10 s there.  Past _CAP nodes a
+# partition count is at least q(200) = 487,067,746, so it is not needed exactly.
+BUDGET, _CAP = 10_000_000, 200
+
+
+def _counts(m: int, n: int | None = None) -> list[int]:
+    """p(s), or with n the n-regular count r_n(s) (the principal character: no
+    part divisible by n; 0 for s > 0 when n < 2), for s = 0..min(m, _CAP), s = 0 if m < 0."""
+    k = max(min(m, _CAP), 0)
+    series = inv_phi(k) if n is None else branching.principal_char(max(n, 1), k)
+    return [series.terms.get(s, 0) for s in range(k + 1)]  # exponents on the integers
+
+
+def _tableau_count(shape: pt.Partition) -> int:
+    """f, the number of standard tableaux, by the hook length formula.  A shape
+    of m >= 5 cells, not a row or a column, has f >= m - 1 (the least degree of
+    a character of S_m beyond the trivial and sign ones): m - 1 stands in for f
+    once m(m - 1) is over the budget."""
+    m = sum(shape)
+    if m * (m - 1) > BUDGET:  # a row or a column has f = 1
+        return 1 if len(shape) < 2 or shape[0] == 1 else m - 1
+    cols = pt.conjugate(shape)
+    return factorial(m) // prod(r - c + cols[c] - i - 1 for i, r in enumerate(shape)
+                                for c in range(r))
+
+
+def _specht_cost(a):
+    shape = pt.parse_partition(a.shape)
+    m, f = sum(shape), _tableau_count(shape)
+    basis = f * m * (len(shape) + 2) // 2  # each entry placed by a scan of the rows
+    if a.command == "tableaux":
+        return basis, "the m entries of each of the f standard tableaux"
+    if not 1 <= a.gen < m:
+        return 0, ""  # the command refuses the generator
+    return f * f + basis, "the f x f cells of the matrix and its basis of f tableaux"
+
+
+def _edge_sum_cost(a, weight: int):
+    core = pt.parse_partition(a.core)
+    if pt.n_core(core, a.n)[1]:
+        return 0, ""  # the command refuses the core
+    size = sum(core) + a.n * weight  # a set of part values and a first multiplicity fix one
+    return a.n * size * sum(_counts(size, 2)) // 700, f"the edge-sum partitions of size <= {size}"
+
+
+def _branching_cost(a):
+    n, L, d = a.n, a.L, a.degree
+    pt.check_target(n, a.j, a.target)
+    if a.source == "paths":
+        return n * n * L**3 // 40, "the path DP over part values up to L"
+    if a.source == "fermionic":  # (n-1)-vectors of sum <= L/2 + 1; a lower bound past C(., 64)
+        top = L // 2 + 1
+        return comb(top + n - 1, min(top, n - 1, 64)) * L**4 // 50_000, "the constant-sign sum"
+    r = _counts(n * d, n)
+    steps = sum(r[min(n * e, _CAP)] * n * n * e for e in range(min(d, _CAP) + 1))
+    return steps // 3, "the n-regular partitions of n * e nodes, e <= degree"
+
+
+def _abf_cost(a):
+    m = max(a.m, 0)
+    paths._check_heights(a.L, a.a, a.b, a.c)
+    if a.source == "limit":
+        return a.degree**2 // 12, "the products of series to the degree"
+    if a.source == "closed":
+        return (m // (2 * a.L) + 2) * m**3 // 20, "the Gaussian binomials of length m"
+    return m**3 * min(a.L, 2 * m) // 12, "the height sequences of length m"
 
 
 _PARSER: argparse.ArgumentParser | None = None
@@ -316,53 +327,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, cost=lambda a: (0, ""), **kw):
+        """A subcommand; ``cost`` maps its parsed arguments to (estimate, what it counts)."""
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=fn, cost=cost)
         return sp
 
-    sp = add("crystal-graph", cmd_crystal_graph, help="crystal graph as dot/json/text")
+    sp = add("crystal-graph", cmd_crystal_graph, lambda a: (
+        sum(_counts(a.max_m, None if a.full else a.n)) * a.n * a.max_m // 2,
+        "the graph's nodes, n arrows each"), help="crystal graph as dot/json/text")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--max-m", type=_NONNEGATIVE, default=5)
     sp.add_argument("--full", action="store_true", help="all partitions, not just the component of the empty one")
-    sp.add_argument("--max-nodes", type=_NONNEGATIVE, default=None)
     sp.add_argument("--format", choices=("dot", "json", "text"), default="dot")
 
-    sp = add("canonical-basis", cmd_canonical_basis, help="q-decomposition matrix d(q)")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=_NONNEGATIVE, default=5)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    def matrix_cost(a):
+        return 8 * _counts(a.m)[-1] * _counts(a.m, a.n)[-1], "the p(m) x r_n(m) matrix cells"
 
-    sp = add("decomp-matrix", cmd_decomp_matrix, help="decomposition matrix at q=1")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=_NONNEGATIVE, default=5)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name, what in (("canonical-basis", "q-decomposition matrix d(q)"),
+                       ("decomp-matrix", "decomposition matrix at q=1"),
+                       ("restriction", "restriction multiplicities c(q)")):
+        sp = add(name, cmd_decomposition, matrix_cost, help=what)
+        sp.add_argument("--n", type=int, default=2)
+        sp.add_argument("--m", type=int if name == "restriction" else _NONNEGATIVE, default=5)
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = add("restriction", cmd_restriction, help="restriction multiplicities c(q)")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=5)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sp = add("specht-matrix", cmd_specht_matrix, help="generator matrix on a Specht module")
+    sp = add("specht-matrix", cmd_specht_matrix, _specht_cost, help="generator matrix on a Specht module")
     sp.add_argument("--shape", required=True)
     sp.add_argument("--gen", type=int, default=1)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = add("tableaux", cmd_tableaux, help="standard tableaux of a shape")
+    sp = add("tableaux", cmd_tableaux, _specht_cost, help="standard tableaux of a shape")
     sp.add_argument("--shape", required=True)
 
-    sp = add("js-list", cmd_js_list, help="irreducible-restriction labels by core and weight")
+    sp = add("js-list", cmd_js_list, lambda a: _edge_sum_cost(a, a.weight),
+             help="irreducible-restriction labels by core and weight")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--core", default="")
     sp.add_argument("--weight", type=_NONNEGATIVE, default=0)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("fow", cmd_fow, help="border-edge classification table")
+    sp = add("fow", cmd_fow, lambda a: (
+        0 if a.partition is not None else _counts(a.m, a.n)[-1] * a.n * a.m, "the n-regular partitions of m"),
+        help="border-edge classification table")
     sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--partition", default=None)
 
-    sp = add("branching", cmd_branching, help="branching series/polynomials")
+    sp = add("branching", cmd_branching, _branching_cost, help="branching series/polynomials")
     sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--j", type=int, default=0)
     sp.add_argument("--target", type=_parse_target, default=(0, 0))
@@ -371,14 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", choices=("paths", "crystal", "fermionic"), default="paths")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("chi", cmd_chi, help="irreducible-restriction generating series")
+    sp = add("chi", cmd_chi, lambda a: _edge_sum_cost(a, a.degree) if a.source == "direct" else (
+        a.n * (a.n * a.degree) ** 2 // 8, "the stable branching series to the degree"),
+        help="irreducible-restriction generating series")
     sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--core", default="")
     sp.add_argument("--degree", type=_NONNEGATIVE, default=4)
     sp.add_argument("--source", choices=("jscor", "direct"), default="jscor")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("abf", cmd_abf, help="height-model configuration sums")
+    sp = add("abf", cmd_abf, _abf_cost, help="height-model configuration sums")
     sp.add_argument("--L", type=_NONNEGATIVE, default=4)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--b", type=int, default=1)
@@ -388,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", choices=("direct", "closed", "limit"), default="direct")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("virasoro", cmd_virasoro, help="minimal-model character series")
+    sp = add("virasoro", cmd_virasoro, lambda a: (a.degree**2 // 12, "the series to the degree"),
+             help="minimal-model character series")
     sp.add_argument("--mparam", type=int, default=3)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--s", type=int, default=1)
@@ -412,6 +427,10 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        cost, what = args.cost(args)
+        if cost > BUDGET:
+            raise ResourceBoundError(f"{args.command} is estimated at {cost:,} steps for"
+                                     f" {what}, over the budget of {BUDGET:,}")
         result = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -425,12 +444,9 @@ def dispatch(argv: list[str]) -> int:
     except RecursionError:
         print("resource cap: input too large to enumerate", file=sys.stderr)
         return 4
-    if isinstance(result, tuple):
-        text, failures = result
-        print(text)
-        return 1 if failures else 0
-    print(result)
-    return 0
+    text, failures = result if isinstance(result, tuple) else (result, 0)
+    print(text)
+    return 1 if failures else 0
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import partitions as pt
-from .errors import ConventionError, ResourceBoundError
+from .errors import ConventionError
 from .qseries import TruncatedSeries
 
 __all__ = [
@@ -144,12 +144,7 @@ class CrystalGraph:
         return sorted((lam for lam in self.nodes if lam not in targets), reverse=True)
 
 
-def crystal_graph(
-    n: int,
-    max_m: int,
-    component_of_empty: bool = True,
-    max_nodes: int | None = None,
-) -> CrystalGraph:
+def crystal_graph(n: int, max_m: int, component_of_empty: bool = True) -> CrystalGraph:
     """The crystal graph on partitions of weight <= max_m.
 
     With component_of_empty=True the nodes are the n-regular partitions, and
@@ -164,10 +159,6 @@ def crystal_graph(
     nodes: list[pt.Partition] = []
     for m in range(max_m + 1):
         nodes.extend(pt.enumerate_partitions(m, regular=regular))
-        if max_nodes is not None and len(nodes) > max_nodes:
-            raise ResourceBoundError(
-                f"crystal graph exceeds {max_nodes} nodes at weight bound {max_m}"
-            )
     members = set(nodes)
     edges = []
     for lam in nodes:

@@ -1,9 +1,9 @@
 """Shared exception types.
 
 The CLI's exit codes: 0 on success; 2 for invalid input (argparse errors
-and ValueError); 3 for ConventionError; 4 for ResourceBoundError and for an
-input too large to enumerate (RecursionError); 1 only when ``selfcheck``
-reports a failed oracle.
+and ValueError); 3 for ConventionError; 4 for a cost estimate over the budget
+(ResourceBoundError) and for an input too deep to enumerate (RecursionError);
+1 only when ``selfcheck`` reports a failed oracle.
 """
 
 
@@ -16,4 +16,4 @@ class ExactDivisionError(ArithmeticError):
 
 
 class ResourceBoundError(RuntimeError):
-    """A configured resource cap (node count, degree) was exceeded."""
+    """A command's cost estimate is over the CLI's cost budget."""

@@ -22,6 +22,7 @@ __all__ = [
     "conjugate",
     "is_n_regular",
     "check_regular",
+    "check_target",
     "residue_counts",
     "residue_data",
     "n_core",
@@ -333,6 +334,15 @@ def _cartan_gram(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def check_target(n: int, j: int, target: tuple[int, int]) -> None:
+    """A ValueError unless both target indices and j lie in 0..n-1."""
+    s, t = target
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"target {s},{t} needs both indices in 0..n-1 = 0..{n - 1}")
+    if not 0 <= j < n:
+        raise ValueError(f"j {j} needs to lie in 0..n-1 = 0..{n - 1}")
+
+
 def weight_target_profile(
     n: int, j: int, target: tuple[int, int]
 ) -> tuple[tuple[int, ...], int] | None:
@@ -343,11 +353,8 @@ def weight_target_profile(
     Returns (c, sum(c)) or None when the target is unreachable (including
     j != s + t mod n).  A target index or j outside 0..n-1 is a ValueError.
     """
+    check_target(n, j, target)
     s, t = target
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"target {s},{t} needs both indices in 0..n-1 = 0..{n - 1}")
-    if not 0 <= j < n:
-        raise ValueError(f"j {j} needs to lie in 0..n-1 = 0..{n - 1}")
     if (s + t - j) % n != 0:
         return None
     T = [0] * n

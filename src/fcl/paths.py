@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import partitions as pt
-from .errors import ResourceBoundError
 from .qseries import LaurentPoly, TruncatedSeries
 
 __all__ = [
@@ -235,13 +234,6 @@ def chi_js_direct(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     return TruncatedSeries(terms, 1, degree)
 
 
-# The largest path cutoff L that both branching polynomials (paths and the
-# fermionic form) accept.  Both take milliseconds at 24; the cap stays so
-# that `branching --L 25` keeps exit code 4 until every command checks its
-# cost against one budget.
-MAX_L = 24
-
-
 def branching_poly_paths(n: int, j: int, target: tuple[int, int], L: int) -> LaurentPoly:
     """Finite branching polynomial by counting restricted paths.
 
@@ -250,8 +242,6 @@ def branching_poly_paths(n: int, j: int, target: tuple[int, int], L: int) -> Lau
     residue-count profile.
     """
     prof = pt.weight_target_profile(n, j, target)
-    if L > MAX_L:
-        raise ResourceBoundError(f"path cutoff {L} exceeds bound {MAX_L}")
     if prof is None:
         return LaurentPoly.zero()
     return LaurentPoly(_chain_counts(n, j, prof[0], L, (n - 1) * L * (L + 1) // 2))

@@ -100,29 +100,27 @@ def _sort_key(t: Tableau):
 
 @lru_cache(maxsize=None)
 def standard_tableaux(shape: pt.Partition) -> tuple[Tableau, ...]:
+    """Every standard tableau of the shape, in the basis order.
+
+    The entries 1, 2, ... are placed in turn, each at the end of every row
+    where the filling stays standard.  A partial filling is its row lengths
+    and the chain (row of its last entry, chain of the entries before).
+    """
     shape = pt.check_partition(shape)
     m = sum(shape)
-    out: list[Tableau] = []
-
-    def rec(sub: list[int], grid: list[list[int]], entry: int):
-        if entry > m:
-            out.append(tuple(tuple(row[: shape[r]]) for r, row in enumerate(grid)))
-            return
-        for r in range(len(shape)):
-            c = sub[r]
-            if c >= shape[r]:
-                continue
-            if r > 0 and sub[r - 1] <= c:
-                continue
-            grid[r][c] = entry
-            sub[r] += 1
-            rec(sub, grid, entry + 1)
-            sub[r] -= 1
-        return
-
-    rec([0] * len(shape), [[0] * (shape[0] if shape else 0) for _ in shape], 1)
-    out.sort(key=_sort_key)
-    return tuple(out)
+    fillings = [((0,) * len(shape), ())]
+    for _ in range(m):
+        fillings = [(ends[:r] + (c + 1,) + ends[r + 1:], (r, chain))
+                    for ends, chain in fillings for r, c in enumerate(ends)
+                    if c < shape[r] and (r == 0 or ends[r - 1] > c)]
+    out = []
+    for _, chain in fillings:
+        grid: list[list[int]] = [[] for _ in shape]
+        for entry in range(m, 0, -1):
+            r, chain = chain
+            grid[r].append(entry)
+        out.append(tuple(tuple(row[::-1]) for row in grid))
+    return tuple(sorted(out, key=_sort_key))
 
 
 @lru_cache(maxsize=None)

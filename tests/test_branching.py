@@ -14,7 +14,7 @@ from fcl.branching import (
 )
 from fcl.crystal import crystal_graph
 from fcl.partitions import _cartan_gram, enumerate_partitions
-from fcl.paths import MAX_L, abf_sum_direct, branching_poly_paths, chi_js_direct
+from fcl.paths import abf_sum_direct, branching_poly_paths, chi_js_direct
 from fcl.qseries import TruncatedSeries
 from oracles import branching_series_listed, geometric_product
 
@@ -41,8 +41,8 @@ def test_cartan_gram_is_n_times_the_inverse():
         assert GC == [[n if i == j else 0 for j in range(n - 1)] for i in range(n - 1)], n
 
 
-# every cutoff the CLI accepts for n = 2..5; n = 6 stops at 16 to bound the time
-RULE_CUTOFFS = {**{n: range(MAX_L + 1) for n in range(2, 6)}, 6: range(17)}
+# cutoffs up to 24 for n = 2..5; n = 6 stops at 16 to bound the time
+RULE_CUTOFFS = {**{n: range(25) for n in range(2, 6)}, 6: range(17)}
 
 
 def _assert_normalization_rule(n, j, target, L):

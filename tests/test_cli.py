@@ -1,7 +1,10 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,12 @@ from hypothesis import strategies as st
 
 from fcl import cli
 from fcl.cli import _matrix, build_parser, dispatch
+from fcl.partitions import enumerate_partitions
 from fcl.qseries import _ZERO, LaurentPoly
+from fcl.specht import standard_tableaux
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_JOBS, README = ROOT / "bench" / "jobs.py", ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -234,7 +242,6 @@ def test_exit_code_n_below_two(capsys):
         ("branching --n 3 --j -1", "j -1 needs to lie in 0..n-1 = 0..2"),
         ("branching --n 3 --j 3 --source crystal", "j 3 needs to lie in 0..n-1"),
         ("branching --n 3 --j 4 --target 1,0 --source fermionic", "j 4 needs to lie in 0..n-1"),
-        ("crystal-graph --max-nodes -1", "argument --max-nodes: must be nonnegative, got -1"),
         ("fow --n 2 --partition 3,1,1", "error: 3,1,1 is not 2-regular"),
         ("js-list --n 3 --core 2,1", "error: 2,1 is not a 3-core"),
         ("chi --n 3 --core 2,1 --source direct", "error: 2,1 is not a 3-core"),
@@ -259,7 +266,6 @@ NONNEGATIVE_FLAGS = [
     ("virasoro", "--degree"),
     ("js-list", "--weight"),
     ("crystal-graph", "--max-m"),
-    ("crystal-graph", "--max-nodes"),
     ("canonical-basis", "--m"),
     ("decomp-matrix", "--m"),
 ]
@@ -283,49 +289,125 @@ def test_unreachable_sector_prints_zero_for_every_source(capsys, source):
     assert out.splitlines()[0] == ("0 + O(q^7)" if source == "crystal" else "0")
 
 
-def test_exit_code_resource_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FCL_MAX_DEGREE", "4")
-    assert dispatch(["virasoro", "--degree", "10"]) == 4
-    capsys.readouterr()
-    monkeypatch.delenv("FCL_MAX_DEGREE")
-    assert dispatch(["crystal-graph", "--max-m", "8", "--max-nodes", "2"]) == 4
-    capsys.readouterr()
-    assert dispatch(["abf", "--source", "closed", "--m", "65"]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and "exceeds FCL_MAX_DEGREE=64" in err
+KNOWN_HANGS = [
+    "decomp-matrix --n 2 --m 64",
+    "branching --n 3 --source crystal --degree 64",
+    "fow --n 2 --m 200",
+    "specht-matrix --shape 6,5,4 --gen 1",
+    "crystal-graph --full --max-m 100",
+    "canonical-basis --m 1000000000000",
+]
 
 
-@pytest.mark.parametrize("cap", ["abc", "-1", "2.5"])
-def test_invalid_degree_cap_exits_2(capsys, monkeypatch, cap):
-    monkeypatch.setenv("FCL_MAX_DEGREE", cap)
-    assert dispatch(["virasoro", "--degree", "10"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: FCL_MAX_DEGREE must be a nonnegative integer, got {cap!r}\n"
-
-
-def test_zero_degree_cap_is_valid(capsys, monkeypatch):
-    monkeypatch.setenv("FCL_MAX_DEGREE", "0")
-    assert dispatch(["virasoro", "--degree", "0"]) == 0
-    assert dispatch(["virasoro", "--degree", "1"]) == 4
-    assert "exceeds FCL_MAX_DEGREE=0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("source", ["paths", "fermionic"])
-def test_path_cutoff_over_the_bound_exits_4(capsys, source):
-    argv = ["branching", "--n", "3", "--j", "0", "--target", "0,0", "--L", "25", "--source", source]
-    assert dispatch(argv) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "path cutoff 25 exceeds bound 24" in err
-
-
-@pytest.mark.parametrize("argv", ["tableaux --shape 1500", "specht-matrix --shape 1200 --gen 1"])
-def test_shape_too_deep_to_enumerate_exits_4(capsys, argv):
+@pytest.mark.parametrize("argv", KNOWN_HANGS)
+def test_over_budget_exits_4_at_once(capsys, argv):
+    start = time.perf_counter()
     assert dispatch(argv.split()) == 4
+    assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "resource cap: input too large to enumerate\n"
+    assert err.startswith(f"resource cap: {argv.split()[0]} is estimated at ")
+    assert err.endswith(f", over the budget of {cli.BUDGET:,}\n")
+
+
+# every size flag with a command that reads it
+SIZE_FLAGS = [
+    ("canonical-basis", "--m"),
+    ("decomp-matrix", "--m"),
+    ("restriction", "--m"),
+    ("fow", "--m"),
+    ("abf --source direct", "--m"),
+    ("abf --source closed", "--m"),
+    ("branching --source crystal", "--degree"),
+    ("chi --source jscor", "--degree"),
+    ("chi --source direct", "--degree"),
+    ("abf --source limit", "--degree"),
+    ("virasoro", "--degree"),
+    ("js-list", "--weight"),
+    ("crystal-graph", "--max-m"),
+    ("crystal-graph --full", "--max-m"),
+    ("branching --source paths", "--L"),
+    ("branching --source fermionic", "--L"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SIZE_FLAGS), st.integers(10**6, 10**12))
+def test_huge_size_is_refused_at_once(flag, value):
+    command, name = flag
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert dispatch([*command.split(), name, str(value)]) == 4
+    assert time.perf_counter() - start < 0.5
+    assert out.getvalue() == ""
+
+
+def _cost(argv: list[str]) -> int:
+    args = build_parser().parse_args(argv)
+    return args.cost(args)[0]
+
+
+def test_budget_admits_every_benchmark_cli_job():
+    spec = importlib.util.spec_from_file_location("bench_jobs", BENCH_JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    for workload in ("canonical", "specht", "series"):
+        argvs = [job["argv"] for job in jobs.pooled_jobs(workload) if job["kind"] == "cli"]
+        assert argvs, workload
+        for argv in argvs:
+            assert _cost(argv) <= cli.BUDGET, argv
+
+
+def test_budget_admits_the_ci_and_readme_commands():
+    readme = [line.split("#")[0].replace("'", "").split()[1:]
+              for line in README.read_text().splitlines() if line.startswith("fcl ")]
+    assert len(readme) == 15
+    ci = ["branching --n 4 --j 0 --target 0,0 --L 24 --source paths".split(),
+          "specht-matrix --shape 5,4,3 --gen 5 --format csv".split()]
+    for argv in readme + ci:
+        assert _cost(argv) <= cli.BUDGET, argv
+
+
+def test_partition_counts_are_the_enumerated_ones():
+    assert cli._counts(-1) == cli._counts(0) == [1]
+    for n in (None, 1, 2, 3, 5):
+        got = cli._counts(15, n)
+        assert got == [len(enumerate_partitions(m, regular=n)) for m in range(16)], n
+    # past _CAP every count is over the budget, so a clamped count is too
+    assert len(cli._counts(10**12, 2)) == cli._CAP + 1
+    assert cli._counts(cli._CAP, 2)[-1] > cli.BUDGET
+
+
+def test_tableau_count_is_the_hook_length_formula():
+    for m in range(11):
+        for shape in enumerate_partitions(m):
+            f = len(standard_tableaux(shape))
+            assert cli._tableau_count(shape) == f, shape
+            # the bound that stands in for f on large shapes
+            if m >= 5 and 1 < len(shape) < m:
+                assert f >= m - 1, shape
+    assert cli._tableau_count((10**12,)) == cli._tableau_count((1,) * 5000) == 1
+    assert cli._tableau_count((5000, 1)) == 5000
+
+
+def test_path_cutoff_25_is_admitted_and_both_sources_agree(capsys):
+    argv = ["branching", "--n", "3", "--j", "0", "--target", "0,0", "--L", "25"]
+    code, by_paths = run(capsys, *argv, "--source", "paths")
+    assert code == 0
+    code, by_fermionic = run(capsys, *argv, "--source", "fermionic")
+    assert code == 0
+    assert by_fermionic.startswith(by_paths) and by_paths.count("q^") > 100
+
+
+def test_one_row_shape_of_a_thousand_cells_is_enumerated(capsys):
+    code, out = run(capsys, "tableaux", "--shape", "1500")
+    assert code == 0
+    assert out == ",".join(map(str, range(1, 1501))) + "\n"  # the one tableau
+    code, out = run(capsys, "specht-matrix", "--shape", "1200", "--gen", "1")
+    assert code == 0
+    tableau = ",".join(map(str, range(1, 1201)))
+    assert out == f',"{tableau}"\n"{tableau}",v\n\n'  # T_1 acts on the one-row module by v
 
 
 def test_deterministic_output(capsys):

@@ -13,7 +13,7 @@ from fcl.crystal import (
 )
 from fcl import crystal
 from fcl.cli import dispatch
-from fcl.errors import ConventionError, ResourceBoundError
+from fcl.errors import ConventionError
 from fcl.partitions import enumerate_partitions
 from oracles import add_node, crystal_graph_bfs, remove_node, restart_signature
 
@@ -174,11 +174,6 @@ def test_unreached_regular_partition_is_a_convention_error(monkeypatch):
                         lambda lam, n, i: None if lam == (1,) and i == 1 else real(lam, n, i))
     with pytest.raises(ConventionError, match=r"no f~_i reaches \(2,\)"):
         crystal_graph(2, 3)
-
-
-def test_resource_cap():
-    with pytest.raises(ResourceBoundError):
-        crystal_graph(2, 10, max_nodes=3)
 
 
 def test_branching_series_goldens():
