@@ -310,6 +310,15 @@ def test_over_budget_exits_4_at_once(capsys, argv):
     assert err.endswith(f", over the budget of {cli.BUDGET:,}\n")
 
 
+def test_exit_code_resource_cap(capsys):
+    # the families the old degree and node caps guarded, each just past the budget
+    assert _cost(["virasoro", "--degree", "10954"]) <= cli.BUDGET
+    for argv in ["virasoro --degree 10955", "crystal-graph --max-m 65", "abf --source closed --m 2000"]:
+        assert dispatch(argv.split()) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("resource cap: "), argv
+
+
 # every size flag with a command that reads it
 SIZE_FLAGS = [
     ("canonical-basis", "--m"),
@@ -391,6 +400,17 @@ def test_tableau_count_is_the_hook_length_formula():
     assert cli._tableau_count((5000, 1)) == 5000
 
 
+@pytest.mark.parametrize("source", ["paths", "fermionic"])
+def test_path_cutoff_over_the_bound_exits_4(capsys, source):
+    # the bound on L is the cost budget: n^2 L^3 / 40 for paths, far less L for fermionic
+    argv = ["branching", "--n", "3", "--j", "0", "--target", "0,0", "--L", "400", "--source", source]
+    assert dispatch(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource cap: branching is estimated at ")
+    assert err.endswith(f", over the budget of {cli.BUDGET:,}\n")
+
+
 def test_path_cutoff_25_is_admitted_and_both_sources_agree(capsys):
     argv = ["branching", "--n", "3", "--j", "0", "--target", "0,0", "--L", "25"]
     code, by_paths = run(capsys, *argv, "--source", "paths")
@@ -400,14 +420,21 @@ def test_path_cutoff_25_is_admitted_and_both_sources_agree(capsys):
     assert by_fermionic.startswith(by_paths) and by_paths.count("q^") > 100
 
 
-def test_one_row_shape_of_a_thousand_cells_is_enumerated(capsys):
-    code, out = run(capsys, "tableaux", "--shape", "1500")
+def _one_row(m: int) -> str:
+    return ",".join(map(str, range(1, m + 1)))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(argv, expected, id=argv) for argv, expected in [
+        ("tableaux --shape 1500", _one_row(1500) + "\n"),  # the one tableau
+        # T_1 acts on the one-row module by v
+        ("specht-matrix --shape 1200 --gen 1", f',"{_one_row(1200)}"\n"{_one_row(1200)}",v\n\n'),
+    ]
+])
+def test_one_row_shape_of_a_thousand_cells_is_enumerated(capsys, argv, expected):
+    code, out = run(capsys, *argv.split())
     assert code == 0
-    assert out == ",".join(map(str, range(1, 1501))) + "\n"  # the one tableau
-    code, out = run(capsys, "specht-matrix", "--shape", "1200", "--gen", "1")
-    assert code == 0
-    tableau = ",".join(map(str, range(1, 1201)))
-    assert out == f',"{tableau}"\n"{tableau}",v\n\n'  # T_1 acts on the one-row module by v
+    assert out == expected
 
 
 def test_deterministic_output(capsys):
