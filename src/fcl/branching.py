@@ -18,7 +18,7 @@ from math import isqrt
 
 from . import partitions as pt
 from . import paths
-from .qseries import LaurentPoly, TruncatedSeries, inv_phi, q_product, qbinom_lower
+from .qseries import LaurentPoly, TruncatedSeries, _add_shifted, inv_phi, q_product, qbinom_lower
 
 __all__ = [
     "FermionicBranching",
@@ -100,9 +100,7 @@ def _fermionic_raw(n: int, s: int, t: int, L: int) -> LaurentPoly:
         prod = LaurentPoly.one()
         for x, mi in zip(nl, m):
             prod = prod * qbinom_lower(x // n + mi, mi)
-        e = _n_exponent(G, m, g_st, s, t)
-        for k, c in prod.terms.items():
-            acc[e + n * k] = acc.get(e + n * k, 0) + c
+        _add_shifted(acc, prod, _n_exponent(G, m, g_st, s, t), n)
     return LaurentPoly(acc, n)
 
 
@@ -151,9 +149,7 @@ def fermionic_limit(
             continue
         # prod 1/(q)_(m_i), one factor 1/(1 - q^b) for each b <= m_i
         term = q_product((), [b for mi in m for b in range(1, mi + 1)], (ncap - e) // n)
-        for k, coeff in term.terms.items():
-            key = e + n * (k - shift)
-            acc[key] = acc.get(key, 0) + coeff
+        _add_shifted(acc, term.poly, e - n * shift, n)
     return TruncatedSeries(acc, n, degree)
 
 

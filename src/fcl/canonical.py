@@ -25,7 +25,6 @@ __all__ = [
     "DecompositionMatrix",
     "global_lower_basis",
     "global_basis_vectors",
-    "decomposition_matrix",
     "restriction_coeffs",
     "js_canonical",
 ]
@@ -91,9 +90,6 @@ class DecompositionMatrix:
 
     def entry(self, lam: pt.Partition, mu: pt.Partition) -> LaurentPoly:
         return self.entries[self.rows.index(lam)][self.cols.index(mu)]
-
-    def at_one(self) -> list[list[int]]:
-        return [[e.eval_one() for e in row] for row in self.entries]
 
 
 def _check_n(n: int) -> None:
@@ -162,11 +158,6 @@ def global_lower_basis(n: int, m: int) -> DecompositionMatrix:
     cols = pt.enumerate_partitions(m, regular=n)
     entries = [[vecs[mu].coeff(lam) for mu in cols] for lam in rows]
     return DecompositionMatrix(n, m, rows, cols, entries)
-
-
-def decomposition_matrix(n: int, m: int) -> list[list[int]]:
-    """Composition multiplicities at an n-th root of unity (q = 1 values)."""
-    return global_lower_basis(n, m).at_one()
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,10 @@ reproducible text/json/csv/dot output.
 
 Each subparser sets a ``cost`` estimate from the parsed arguments, and
 ``dispatch`` refuses a command whose estimate is over ``BUDGET`` before any
-work starts.  Exit codes: 0 success, 2 invalid arguments, 3 internal
-convention-violation assertion, 4 over the cost budget (or an input too deep
-to enumerate).
+work starts; a partition flag is counted from its (value, count) pairs, so
+``value^count`` is expanded only once the command is admitted.  Exit codes: 0
+success, 2 invalid arguments, 3 internal convention-violation assertion, 4 over
+the cost budget (or an input too deep to enumerate).
 """
 
 from __future__ import annotations
@@ -254,23 +255,25 @@ def _counts(m: int, n: int | None = None) -> list[int]:
     return [series.terms.get(s, 0) for s in range(k + 1)]  # exponents on the integers
 
 
-def _tableau_count(shape: pt.Partition) -> int:
-    """f, the number of standard tableaux, by the hook length formula.  A shape
-    of m >= 5 cells, not a row or a column, has f >= m - 1 (the least degree of
-    a character of S_m beyond the trivial and sign ones): m - 1 stands in for f
-    once m(m - 1) is over the budget."""
-    m = sum(shape)
-    if m * (m - 1) > BUDGET:  # a row or a column has f = 1
-        return 1 if len(shape) < 2 or shape[0] == 1 else m - 1
+def _tableau_count(mults: list[tuple[int, int]]) -> int:
+    """f, the number of standard tableaux of the shape with these (value,
+    multiplicity) pairs, by the hook length formula.  A shape of m >= 5 cells,
+    not a row or a column, has f >= m - 1 (the least degree of a character of
+    S_m beyond the trivial and sign ones): m - 1 stands in for f once m(m - 1)
+    is over the budget, and the shape is not expanded."""
+    m = sum(v * a for v, a in mults)
+    if m * (m - 1) > BUDGET:
+        return 1 if mults[0] in ((m, 1), (1, m)) else m - 1  # a row or a column has f = 1
+    shape = tuple(v for v, a in mults for _ in range(a))
     cols = pt.conjugate(shape)
     return factorial(m) // prod(r - c + cols[c] - i - 1 for i, r in enumerate(shape)
                                 for c in range(r))
 
 
 def _specht_cost(a):
-    shape = pt.parse_partition(a.shape)
-    m, f = sum(shape), _tableau_count(shape)
-    basis = f * m * (len(shape) + 2) // 2  # each entry placed by a scan of the rows
+    mults = pt.parse_multiplicities(a.shape)
+    m, f = sum(v * c for v, c in mults), _tableau_count(mults)
+    basis = f * m * (sum(c for _, c in mults) + 2) // 2  # each entry placed by a scan of the rows
     if a.command == "tableaux":
         return basis, "the m entries of each of the f standard tableaux"
     if not 1 <= a.gen < m:
@@ -278,12 +281,37 @@ def _specht_cost(a):
     return f * f + basis, "the f x f cells of the matrix and its basis of f tableaux"
 
 
+def _beads(text: str, n: int) -> int:
+    """The parts a partition flag spells, counted without expanding it, plus n:
+    the beads and runners of the abacus that n-cores and residue counts read."""
+    return sum(c for _, c in pt.parse_multiplicities(text)) + n
+
+
+_BEADS = "the parts of the partition and its n runners"
+
+
 def _edge_sum_cost(a, weight: int):
+    beads = _beads(a.core, a.n)
+    if beads > BUDGET:
+        return beads, _BEADS
     core = pt.parse_partition(a.core)
     if pt.n_core(core, a.n)[1]:
         return 0, ""  # the command refuses the core
     size = sum(core) + a.n * weight  # a set of part values and a first multiplicity fix one
     return a.n * size * sum(_counts(size, 2)) // 700, f"the edge-sum partitions of size <= {size}"
+
+
+def _fow_cost(a):
+    if a.partition is None:
+        return _counts(a.m, a.n)[-1] * a.n * a.m, "the n-regular partitions of m"
+    return a.n * _beads(a.partition, a.n), "n residue counts for each part and runner of the partition"
+
+
+def _chi_cost(a):
+    if a.source == "direct":
+        return _edge_sum_cost(a, a.degree)
+    return max((_beads(a.core, a.n), _BEADS),
+               (a.n * (a.n * a.degree) ** 2 // 8, "the stable branching series to the degree"))
 
 
 def _branching_cost(a):
@@ -367,9 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight", type=_NONNEGATIVE, default=0)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("fow", cmd_fow, lambda a: (
-        0 if a.partition is not None else _counts(a.m, a.n)[-1] * a.n * a.m, "the n-regular partitions of m"),
-        help="border-edge classification table")
+    sp = add("fow", cmd_fow, _fow_cost, help="border-edge classification table")
     sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--partition", default=None)
@@ -383,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", choices=("paths", "crystal", "fermionic"), default="paths")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("chi", cmd_chi, lambda a: _edge_sum_cost(a, a.degree) if a.source == "direct" else (
-        a.n * (a.n * a.degree) ** 2 // 8, "the stable branching series to the degree"),
-        help="irreducible-restriction generating series")
+    sp = add("chi", cmd_chi, _chi_cost, help="irreducible-restriction generating series")
     sp.add_argument("--n", type=_ROOT_ORDER, default=2)
     sp.add_argument("--core", default="")
     sp.add_argument("--degree", type=_NONNEGATIVE, default=4)
@@ -410,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=_NONNEGATIVE, default=10)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    sp = add("cores", cmd_cores, help="core, hook weight and hook count")
+    sp = add("cores", cmd_cores, lambda a: (_beads(a.partition, a.n), _BEADS),
+             help="core, hook weight and hook count")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,4 +1,4 @@
-"""Crystal structure on partitions: signature rule, Kashiwara operators,
+"""Crystal structure on partitions: signature rule, the Kashiwara operator f~_i,
 crystal graphs, branching multiplicities and the crystal irreducibility test.
 
 The signature of a partition reads its i-node sweep (columns left to right)
@@ -18,12 +18,10 @@ __all__ = [
     "SignatureWord",
     "signature",
     "f_tilde",
-    "e_tilde",
     "eps_phi",
     "CrystalGraph",
     "crystal_graph",
     "branching_series_crystal",
-    "socle_restriction",
     "js_crystal",
     "to_dot",
 ]
@@ -90,15 +88,6 @@ def f_tilde(lam: pt.Partition, n: int, i: int) -> pt.Partition | None:
     return pt._grown(lam, rows[-1])
 
 
-def e_tilde(lam: pt.Partition, n: int, i: int) -> pt.Partition | None:
-    """Remove the good i-node: the first R left after cancellation."""
-    _, stack = _reduce(lam, n, i)
-    rows = [r for r, _, s in stack if s < 0]
-    if not rows:
-        return None
-    return pt._shrunk(lam, rows[0])
-
-
 def eps_phi(lam: pt.Partition, n: int, i: int) -> tuple[int, int]:
     sig = signature(lam, n, i)
     return sig.eps, sig.phi
@@ -111,17 +100,6 @@ def js_crystal(lam: pt.Partition, n: int) -> bool:
         return True
     eps = [eps_phi(lam, n, i)[0] for i in range(n)]
     return sorted(eps) == [0] * (n - 1) + [1]
-
-
-def socle_restriction(lam: pt.Partition, n: int) -> list[pt.Partition]:
-    """The predecessors e~_i(lam); multiplicity-free by construction."""
-    pt.check_regular(lam, n)
-    out = []
-    for i in range(n):
-        mu = e_tilde(lam, n, i)
-        if mu is not None:
-            out.append(mu)
-    return sorted(out, reverse=True)
 
 
 @dataclass
@@ -137,11 +115,6 @@ class CrystalGraph:
         for lam in self.nodes:
             out.setdefault(sum(lam), []).append(lam)
         return out
-
-    def heads(self) -> list[pt.Partition]:
-        """Nodes with no incoming edge (sources of components)."""
-        targets = {mu for _, _, mu in self.edges}
-        return sorted((lam for lam in self.nodes if lam not in targets), reverse=True)
 
 
 def crystal_graph(n: int, max_m: int, component_of_empty: bool = True) -> CrystalGraph:

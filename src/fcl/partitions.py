@@ -9,6 +9,7 @@ i-nodes of a partition are read off its rim in one sweep (``_inodes``), and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -17,6 +18,7 @@ __all__ = [
     "Partition",
     "Weight",
     "check_partition",
+    "parse_multiplicities",
     "parse_partition",
     "format_partition",
     "conjugate",
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 Partition = tuple[int, ...]
+_PART = re.compile(r"([0-9]+)(?:\^([0-9]+))?")  # a part, or value^count
 
 
 def check_partition(parts) -> Partition:
@@ -46,25 +49,30 @@ def check_partition(parts) -> Partition:
     return lam
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse '10,8,7' or exponent shorthand '3^2,1'; '' , '0' and '∅' are empty."""
+def parse_multiplicities(text: str) -> list[tuple[int, int]]:
+    """Parse '10,8,7' or exponent shorthand '3^2,1' as [(value, multiplicity), ...],
+    values descending, without expanding a multiplicity; '', '0' and '∅' are empty."""
     text = text.strip()
     if text in ("", "0", "∅", "[]", "()"):
-        return ()
-    try:
-        parts: list[int] = []
-        for tok in text.split(","):
-            value, hat, count = tok.partition("^")
-            count = int(count) if hat else 1
-            if count < 0:
-                raise ValueError
-            parts.extend([int(value)] * count)
-        return check_partition(parts)
-    except ValueError:
-        raise ValueError(
-            f"{text!r} is not a partition: give weakly decreasing positive parts"
-            " separated by commas, a repeated part as value^count (3^2,1 is 3,3,1)"
-        ) from None
+        return []
+    out: list[tuple[int, int]] = []
+    for tok in text.split(","):
+        part = _PART.fullmatch(tok.strip())  # ASCII digits only
+        value, count = (int(part[1]), int(part[2] or 1)) if part else (0, 1)  # (0, 1) is refused
+        if count and (value <= 0 or out and out[-1][0] < value):
+            raise ValueError(
+                f"{text!r} is not a partition: give weakly decreasing positive parts"
+                " separated by commas, a repeated part as value^count (3^2,1 is 3,3,1)")
+        if out and out[-1][0] == value:
+            out[-1] = (value, out[-1][1] + count)
+        elif count:
+            out.append((value, count))
+    return out
+
+
+def parse_partition(text: str) -> Partition:
+    """The partition ``parse_multiplicities`` reads, expanded."""
+    return tuple(v for v, a in parse_multiplicities(text) for _ in range(a))
 
 
 def format_partition(lam: Partition) -> str:

@@ -28,7 +28,6 @@ __all__ = [
     "q_product",
     "phi",
     "inv_phi",
-    "inv_pochhammer",
 ]
 
 
@@ -127,10 +126,6 @@ class LaurentPoly:
         """True iff every exponent is a positive integer."""
         return all(n > 0 and n % self.den == 0 for n in self.terms)
 
-    def is_poly(self) -> bool:
-        """True iff every exponent is a nonnegative integer."""
-        return all(n >= 0 and n % self.den == 0 for n in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _promoted(self, other: "LaurentPoly") -> tuple[dict, dict, int]:
@@ -226,18 +221,6 @@ class LaurentPoly:
 
     def eval_one(self) -> int:
         return sum(self.terms.values())
-
-    def eval_int(self, v: int) -> Fraction:
-        """Exact evaluation at an integer value (Fraction when v divides)."""
-        if v == 0:
-            raise ValueError("cannot evaluate Laurent polynomial at 0")
-        acc = Fraction(0)
-        for n, c in self.terms.items():
-            e = Fraction(n, self.den)
-            if e.denominator != 1:
-                raise ValueError("fractional exponent cannot be evaluated at an integer")
-            acc += c * Fraction(v) ** e.numerator
-        return acc
 
     # -- comparisons and rendering ----------------------------------------
 
@@ -572,7 +555,3 @@ def inv_phi(order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 0")
     return q_product((), range(1, order + 1), order)
 
-
-def inv_pochhammer(k: int, order: int) -> TruncatedSeries:
-    """1/(q)_k truncated at the given order."""
-    return q_product((), range(1, k + 1), order)

@@ -21,20 +21,14 @@ __all__ = [
     "shape_of",
     "tableau_text",
     "parse_tableau",
-    "t_minus",
     "standard_tableaux",
     "is_column_standard",
-    "column_word",
-    "precedes",
-    "perm_length",
     "garnir",
     "SpechtVector",
     "straighten",
     "rep_matrix",
     "rep_word",
     "jucys_murphy",
-    "specialize",
-    "cyclotomic_poly",
 ]
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -60,18 +54,6 @@ def parse_tableau(text: str) -> Tableau:
         else:
             rows.append(tuple(int(ch) for ch in chunk))
     return tuple(rows)
-
-
-def t_minus(shape: pt.Partition) -> Tableau:
-    """Entries 1..m filled down the leftmost column first."""
-    cols = pt.conjugate(shape)
-    grid = [[0] * p for p in shape]
-    entry = 1
-    for c, height in enumerate(cols):
-        for r in range(height):
-            grid[r][c] = entry
-            entry += 1
-    return tuple(tuple(row) for row in grid)
 
 
 def is_column_standard(t: Tableau) -> bool:
@@ -129,23 +111,8 @@ def _heights(shape: pt.Partition) -> pt.Partition:
     return pt.conjugate(shape)
 
 
-def column_word(t: Tableau) -> tuple[int, ...]:
-    """Entries read down the leftmost column, then subsequent columns."""
-    return tuple(t[r][c] for c, height in enumerate(_heights(shape_of(t))) for r in range(height))
-
-
-def precedes(a: int, b: int, t: Tableau) -> bool:
-    word = column_word(t)
-    return word.index(a) < word.index(b)
-
-
 def _inversions(word) -> int:
     return sum(1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j])
-
-
-def perm_length(t: Tableau) -> int:
-    """Inversions of the permutation carrying the column-first filling to t."""
-    return _inversions(column_word(t))
 
 
 def _swap_entries(t: Tableau, a: int, b: int) -> Tableau:
@@ -435,47 +402,3 @@ def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
     words = [(i - k, _transposition_word(i, k)) for i in range(1, k)]
     images: dict = {}
     return _rows(basis, [_word_sum(t, words, images) for t in basis])
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """Coefficients of the k-th cyclotomic polynomial, ascending degree."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    num = LaurentPoly({0: -1, k: 1})  # v^k - 1
-    for d in range(1, k):
-        if k % d == 0:
-            num = num.exact_div(LaurentPoly(dict(enumerate(cyclotomic_poly(d)))))
-    return tuple(num.terms.get(e, 0) for e in range(max(num.terms) + 1))
-
-
-def _reduce_cyclotomic(p: LaurentPoly, k: int) -> tuple[int, ...]:
-    """Image of an integer Laurent polynomial in Z[v]/(k-th cyclotomic)."""
-    if p.den != 1:
-        raise ValueError("fractional exponents cannot be specialized")
-    phi = list(cyclotomic_poly(k))
-    deg = len(phi) - 1
-    coeffs = [0] * k
-    for e, c in p.terms.items():
-        coeffs[e % k] += c  # v^k = 1 holds in the quotient
-    for top in range(k - 1, deg - 1, -1):
-        q = coeffs[top]  # phi is monic
-        if q:
-            pos = top - deg
-            for j, pc in enumerate(phi):
-                coeffs[pos + j] -= q * pc
-    return tuple(coeffs[:deg])
-
-
-def specialize(mat, v0):
-    """Evaluate a Z[v] matrix at an integer or at a primitive root of unity.
-
-    ``v0`` is either an integer or ("root", k); the latter returns entries as
-    coefficient tuples in the quotient by the k-th cyclotomic polynomial.
-    """
-    if isinstance(v0, int):
-        return [[x.eval_int(v0) for x in row] for row in mat]
-    kind, k = v0
-    if kind != "root":
-        raise ValueError("v0 must be an int or ('root', k)")
-    return [[_reduce_cyclotomic(x, k) for x in row] for row in mat]

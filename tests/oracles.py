@@ -1,7 +1,8 @@
 """Second implementations that the tests compare the library against.
 
 Dense matrices over Z[v] (lists of rows of ``LaurentPoly``) with the plain
-triple-loop product, Specht straightening through whole-tableau Garnir
+triple-loop product, the column-first tableau and the column word with its
+inversion count, Specht straightening through whole-tableau Garnir
 relations and column sorts with one ``LaurentPoly`` operation per term, the
 generator matrices built from it, the generator-word and Jucys-Murphy
 matrices as dense products of those, n-rim-hooks found by walking the rim, with
@@ -10,12 +11,12 @@ row, branching counts that list the edge-sum partitions and classify them
 one by one, Gaussian binomials as quotients of q-factorials by long
 division, q-products as repeated ``TruncatedSeries`` products, the node
 model of addable and removable ``Node``s with the classical (q = 1) node
-operators, the signature reduced by deleting RA pairs and rescanning, the
-crystal graph grown by breadth-first f~_i steps, and the lower global basis
-corrected from ladder monomials built from the empty partition.  The
-arithmetic of Fock and Specht vectors is checked key by key with
-``LaurentPoly`` operations, and polynomial text is built from ``Fraction``
-exponents.
+operators, the signature reduced by deleting RA pairs and rescanning (and
+e~_i, which removes its good removable node), the crystal graph grown by
+breadth-first f~_i steps, and the lower global basis corrected from ladder
+monomials built from the empty partition.  The arithmetic of Fock and Specht
+vectors is checked key by key with ``LaurentPoly`` operations, and
+polynomial text is built from ``Fraction`` exponents.
 """
 
 from fractions import Fraction
@@ -80,6 +81,34 @@ def minus_scaled(u, w, c: LaurentPoly) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def t_minus(shape: Partition) -> Tableau:
+    """Entries 1..m filled down the leftmost column first."""
+    grid = [[0] * p for p in shape]
+    entry = 1
+    for c, height in enumerate(conjugate(shape)):
+        for r in range(height):
+            grid[r][c] = entry
+            entry += 1
+    return tuple(tuple(row) for row in grid)
+
+
+def column_word(t: Tableau) -> tuple[int, ...]:
+    """Entries read down the leftmost column, then subsequent columns."""
+    return tuple(t[r][c] for c, height in enumerate(conjugate(specht.shape_of(t)))
+                 for r in range(height))
+
+
+def precedes(a: int, b: int, t: Tableau) -> bool:
+    word = column_word(t)
+    return word.index(a) < word.index(b)
+
+
+def perm_length(t: Tableau) -> int:
+    """Inversions of the permutation carrying the column-first filling to t."""
+    word = column_word(t)
+    return sum(1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j])
+
+
 def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
     """The Garnir relation at (row, col), 1-based: every interleaving filled in
     whole, its coefficient (-v)^k with k the drop in inversions of the whole
@@ -89,7 +118,7 @@ def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
     left = [(r, c0) for r in range(r0, cols[c0])]
     right = [(r, c0 + 1) for r in range(0, r0 + 1)]
     entries = sorted(z[r][c] for r, c in left + right)
-    lz = specht.perm_length(z)
+    lz = perm_length(z)
     out = []
     for lset in combinations(entries, len(left)):
         rset = [e for e in entries if e not in lset]
@@ -99,9 +128,9 @@ def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
         for (r, c), e in zip(right, rset):
             grid[r][c] = e
         t = tuple(tuple(rw) for rw in grid)
-        k = lz - specht.perm_length(t)
+        k = lz - perm_length(t)
         out.append((t, LaurentPoly.q_power(k, -1 if k % 2 else 1)))
-    out.sort(key=lambda pair: (pair[1].min_exp(), specht.column_word(pair[0])))
+    out.sort(key=lambda pair: (pair[1].min_exp(), column_word(pair[0])))
     return out
 
 
@@ -156,7 +185,7 @@ def generator_image(t: Tableau, i: int) -> dict[Tableau, LaurentPoly]:
     i comes first in the column word, else v x + (v - 1) t."""
     x = tuple(tuple(i + 1 if e == i else (i if e == i + 1 else e) for e in row) for row in t)
     img = straighten(x)
-    if specht.precedes(i, i + 1, t):
+    if precedes(i, i + 1, t):
         return img
     out = {b: c * LaurentPoly.q_power(1) for b, c in img.items()}
     out[t] = out.get(t, LaurentPoly.zero()) + LaurentPoly({0: -1, 1: 1})
@@ -480,6 +509,12 @@ def restart_signature(lam: Partition, n: int, i: int):
         removals[0] if removals else None,
         addables[-1] if addables else None,
     )
+
+
+def e_tilde(lam: Partition, n: int, i: int) -> Partition | None:
+    """The good removable i-node of the restart signature, removed."""
+    good_r = restart_signature(lam, n, i)[2]
+    return remove_node(lam, good_r) if good_r else None
 
 
 def crystal_graph_bfs(n: int, max_m: int, component_of_empty: bool = True):

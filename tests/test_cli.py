@@ -3,6 +3,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from fcl import cli
 from fcl.cli import _matrix, build_parser, dispatch
-from fcl.partitions import enumerate_partitions
+from fcl.partitions import enumerate_partitions, multiplicities
 from fcl.qseries import _ZERO, LaurentPoly
 from fcl.specht import standard_tableaux
 
@@ -248,6 +251,10 @@ def test_exit_code_n_below_two(capsys):
         ("chi --n 3 --core 2,1", "error: 2,1 is not a 3-core"),
         ("chi --n 3 --core 3", "error: 3 is not a 3-core"),
         ("chi --n 4 --core 2,1", "error: 2,1 is not rectangular"),
+        # only ASCII digits spell a part
+        ("specht-matrix --shape 2_1 --gen 1", "'2_1' is not a partition"),
+        ("js-list --n 3 --core 1_0", "'1_0' is not a partition"),
+        ("cores --partition \u0663", "'\u0663' is not a partition"),
     ],
 )
 def test_invalid_argv_exits_2_in_domain_terms(capsys, argv, message):
@@ -352,6 +359,31 @@ def test_huge_size_is_refused_at_once(flag, value):
     assert out.getvalue() == ""
 
 
+TRILLION = "1000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"{flags} 1^{TRILLION}" for flags in ("tableaux --shape", "specht-matrix --shape", "cores --partition",
+                                            "fow --partition", "js-list --core", "chi --core",
+                                            "chi --source direct --core")),
+    # 10^12 runners of the abacus
+    f"cores --partition 1 --n {TRILLION}", f"fow --n {TRILLION} --partition 1", f"js-list --n {TRILLION}",
+    f"chi --n {TRILLION} --degree 0",
+])
+def test_partition_past_the_budget_exits_4_before_it_is_expanded(argv):
+    # in a process capped at 1 GiB, so that expanding the 10^12 parts or runners
+    # fails here instead of exhausting the host's memory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from fcl.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+    assert proc.stderr.startswith(f"resource cap: {argv.split()[0]} is estimated at ")
+
+
 def _cost(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     return args.cost(args)[0]
@@ -392,12 +424,12 @@ def test_tableau_count_is_the_hook_length_formula():
     for m in range(11):
         for shape in enumerate_partitions(m):
             f = len(standard_tableaux(shape))
-            assert cli._tableau_count(shape) == f, shape
+            assert cli._tableau_count(multiplicities(shape)) == f, shape
             # the bound that stands in for f on large shapes
             if m >= 5 and 1 < len(shape) < m:
                 assert f >= m - 1, shape
-    assert cli._tableau_count((10**12,)) == cli._tableau_count((1,) * 5000) == 1
-    assert cli._tableau_count((5000, 1)) == 5000
+    assert cli._tableau_count([(10**12, 1)]) == cli._tableau_count([(1, 5000)]) == 1
+    assert cli._tableau_count([(5000, 1), (1, 1)]) == 5000
 
 
 @pytest.mark.parametrize("source", ["paths", "fermionic"])

@@ -48,6 +48,20 @@ def test_roundtrip_bijection():
         to_path((1, 1), 2)
 
 
+@st.composite
+def regular_partitions(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(0, 40))
+    return n, draw(st.sampled_from(enumerate_partitions(m, regular=n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_partitions())
+def test_roundtrip_bijection_on_random_regular_partitions(case):
+    n, lam = case
+    assert to_partition(to_path(lam, n)) == lam
+
+
 def test_energy_weight_golden():
     e, wt = energy_weight(EXAMPLE_WORD)
     assert e == 16

@@ -13,7 +13,6 @@ from fcl.qseries import (
     bar,
     gauss_balanced,
     inv_phi,
-    inv_pochhammer,
     phi,
     q_fact,
     q_int,
@@ -72,7 +71,7 @@ def test_qbinom_lower_examples():
     for m in range(9):
         for k in range(m + 1):
             b = qbinom_lower(m, k)
-            assert b.is_poly()
+            assert b.den == 1 and min(b.terms) >= 0
             assert b.eval_one() == math.comb(m, k)
 
 
@@ -102,7 +101,7 @@ def test_products_match_the_series_constructions():
     for k in range(21):
         full = geometric_product(range(1, k + 1), 30)
         for order in range(31):
-            assert inv_pochhammer(k, order) == full.truncate(order), (k, order)
+            assert q_product((), range(1, k + 1), order) == full.truncate(order), (k, order)
     for order in range(31):
         assert phi(order) == euler_product(order), order
         assert inv_phi(order) == partition_counts(order), order
@@ -118,6 +117,29 @@ def test_exact_division_checked():
         (one + Q(1)).exact_div(one + Q(2))
     with pytest.raises(ExactDivisionError):
         one.exact_div(LaurentPoly.zero())
+
+
+LAURENT_POLYS = st.builds(
+    LaurentPoly, st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=6), st.integers(1, 6)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LAURENT_POLYS, LAURENT_POLYS.filter(lambda d: not d.is_zero()), st.data())
+def test_bar_and_exact_division_round_trips(p, d, data):
+    # on random polynomials, their exponent lattices mixed
+    assert p.bar().bar() == p
+    assert (p * d).exact_div(d) == p
+    # a nonzero remainder whose span is below d's is never a multiple of d
+    span = Fraction(max(d.terms) - min(d.terms), d.den)
+    if span:
+        den = data.draw(st.integers(1, 6))
+        ks = data.draw(st.dictionaries(st.integers(0, math.ceil(span * den) - 1),
+                                       st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+        shift = data.draw(st.integers(-30, 30))
+        r = LaurentPoly({k + shift: c for k, c in ks.items()}, den)
+        with pytest.raises(ExactDivisionError):
+            (p * d + r).exact_div(d)
 
 
 def test_rational_lattice_promotion():
