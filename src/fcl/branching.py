@@ -250,10 +250,10 @@ def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     overcount correction.
     """
     if pt.n_core(core, n)[1] != 0:
-        raise ValueError(f"{pt.format_partition(core)} is not a {n}-core")
+        raise ValueError(f"{pt._quoted(core)} is not a {n}-core")
     mults = pt.multiplicities(core)
     if len(mults) > 1:
-        raise ValueError(f"{pt.format_partition(core)} is not rectangular")
+        raise ValueError(f"{pt._quoted(core)} is not rectangular")
     if not core:
         total = TruncatedSeries({}, 1, degree)
         for k in range(n):

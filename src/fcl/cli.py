@@ -145,8 +145,8 @@ def cmd_fow(args) -> str:
     n = args.n
 
     def row(lam: pt.Partition) -> list:
+        jj = paths.fow_classify(lam, n)  # checks regularity first
         _, e, wt = pt.residue_data(lam, n)
-        jj = paths.fow_classify(lam, n)
         core, w = pt.n_core(lam, n)
         fow_j = ";".join(map(str, range(n))) if jj == paths.ALL_J else ("" if jj is None else jj)
         return [pt.format_partition(lam), e, wt.vector(), fow_j, int(jj is not None),
@@ -370,7 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("dot", "json", "text"), default="dot")
 
     def matrix_cost(a):
-        return 8 * _counts(a.m)[-1] * _counts(a.m, a.n)[-1], "the p(m) x r_n(m) matrix cells"
+        cells = 8 * _counts(a.m)[-1] * _counts(a.m, a.n)[-1]
+        if a.command != "restriction" or a.m < 1:
+            return cells, "the p(m) x r_n(m) matrix cells"
+        # f_i for each of the n residues on each column: about 8 us each, even finding no i-node
+        return (cells + 8 * a.n * _counts(a.m - 1, a.n)[-1],
+                "the p(m) x r_n(m) matrix cells and n residues on each of the r_n(m-1) columns")
 
     for name, what in (("canonical-basis", "q-decomposition matrix d(q)"),
                        ("decomp-matrix", "decomposition matrix at q=1"),

@@ -79,6 +79,12 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam) if lam else "0"
 
 
+def _quoted(lam: Partition) -> str:
+    """A partition for an error message: each run of c >= 3 equal parts as value^c."""
+    return ",".join(f"{v}^{c}" if c >= 3 else ",".join([str(v)] * c)
+                    for v, c in multiplicities(lam)) or "0"
+
+
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
@@ -104,7 +110,7 @@ def is_n_regular(lam: Partition, n: int) -> bool:
 
 def check_regular(lam: Partition, n: int) -> None:
     if not is_n_regular(lam, n):
-        raise ValueError(f"{format_partition(lam)} is not {n}-regular")
+        raise ValueError(f"{_quoted(lam)} is not {n}-regular")
 
 
 @lru_cache(maxsize=None)

@@ -213,7 +213,7 @@ def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
     """Irreducible-restriction labels with the given core and hook weight d."""
     got_core, w = pt.n_core(core, n)
     if w != 0:
-        raise ValueError(f"{pt.format_partition(core)} is not a {n}-core")
+        raise ValueError(f"{pt._quoted(core)} is not a {n}-core")
     size = sum(core) + n * d
     return [
         lam
@@ -225,7 +225,7 @@ def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
 def chi_js_direct(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     """Generating series counting irreducible restrictions by hook weight."""
     if pt.n_core(core, n)[1] != 0:
-        raise ValueError(f"{pt.format_partition(core)} is not a {n}-core")
+        raise ValueError(f"{pt._quoted(core)} is not a {n}-core")
     terms: Counter = Counter()
     for lam in js_partitions_upto(n, sum(core) + n * degree):
         got_core, d = pt.n_core(lam, n)

@@ -296,32 +296,44 @@ _V = LaurentPoly.q_power(1)
 _V_MINUS_ONE = LaurentPoly({0: -1, 1: 1})
 
 
-def _generator_image(t: Tableau, i: int) -> SpechtVector:
-    """T_i on a standard tableau vector, straightened.
+def _generator_image(t: Tableau, i: int) -> dict[Tableau, LaurentPoly]:
+    """T_i on a standard tableau vector, straightened, as {tableau: coefficient}.
 
     With i directly above i+1, T_i acts as -1.  With i directly left of
     i+1, the swap is column-standard and straightens through the cache.
     Otherwise the swap x is standard: T_i t is x when i's column comes
     first, else v x + (v - 1) t.
     """
-    shape = shape_of(t)
     (ri, ci), (rj, cj) = _cell(t, i), _cell(t, i + 1)
     if ci == cj:
-        return SpechtVector._of(shape, {t: _MINUS_ONE})
+        return {t: _MINUS_ONE}
     x = _swap_entries(t, i, i + 1)
     if ri == rj:
-        return SpechtVector._of(shape, dict(_straighten_sorted(x)))
+        return dict(_straighten_sorted(x))
     if ci < cj:
-        return SpechtVector._of(shape, {x: LaurentPoly.one()})
-    return SpechtVector._of(shape, {x: _V, t: _V_MINUS_ONE})
+        return {x: LaurentPoly.one()}
+    return {x: _V, t: _V_MINUS_ONE}
 
 
-def _rows(basis: tuple[Tableau, ...], cols: list[SpechtVector]) -> list[list[LaurentPoly]]:
+def _times(vec: dict[Tableau, LaurentPoly], cols: dict, s: int = 0) -> dict[Tableau, LaurentPoly]:
+    """v^s times the sum over u of vec[u] * cols[u], as {tableau: coefficient};
+    each product of two coefficients runs over the terms of the shorter one."""
+    acc = {}
+    for u, c in vec.items():
+        for b, d in cols[u].items():
+            p, q = (c, d) if len(c.terms) <= len(d.terms) else (d, c)
+            t = acc.setdefault(b, {})
+            for e, x in p.terms.items():
+                _add_shifted(t, q, e + s, 1, x)
+    return _built(acc)
+
+
+def _rows(basis: tuple[Tableau, ...], cols: list[dict]) -> list[list[LaurentPoly]]:
     """Dense rows of the matrix whose j-th column is cols[j]."""
     index = {t: k for k, t in enumerate(basis)}
     rows = [[LaurentPoly.zero()] * len(cols) for _ in basis]
     for j, vec in enumerate(cols):
-        for b, c in vec.terms.items():
+        for b, c in vec.items():
             rows[index[b]][j] = c
     return rows
 
@@ -337,68 +349,36 @@ def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ..
     return tuple(map(tuple, _rows(basis, [_generator_image(t, i) for t in basis])))
 
 
-def _word_sum(t: Tableau, words, images: dict) -> SpechtVector:
-    """The sum of v^shift times a generator word on a standard tableau vector,
-    over the (shift, word) pairs in ``words``.
-
-    Letters act right to left.  Each letter T_i sums the straightened images
-    of the current tableaux, memoized in ``images`` by (tableau, i), as
-    {tableau: {exponent: coefficient}}; the next letter skips what cancelled.
-    Only the sum's coefficients are built: building every intermediate one
-    made jucys_murphy about a quarter slower.
-    """
-    acc = {}
-    for shift, word in words:
-        vec = {t: {shift: 1}}
-        for i in reversed(word):
-            nxt = {}
-            for u, c in vec.items():
-                if 0 in c.values():  # contributions cancelled
-                    c = {e: x for e, x in c.items() if x}
-                    if not c:
-                        continue
-                img = images.get((u, i))
-                if img is None:
-                    img = images[(u, i)] = _generator_image(u, i)
-                for b, d in img.terms.items():
-                    tgt = nxt.setdefault(b, {})
-                    for e1, c1 in c.items():
-                        for e2, c2 in d.terms.items():
-                            e = e1 + e2
-                            tgt[e] = tgt.get(e, 0) + c1 * c2
-            vec = nxt
-        for b, c in vec.items():
-            tgt = acc.setdefault(b, {})
-            for e, x in c.items():
-                tgt[e] = tgt.get(e, 0) + x
-    return SpechtVector._of(shape_of(t), _built(acc))
-
-
 def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPoly]]:
-    """Matrix of the basis element attached to a reduced generator word."""
+    """Matrix of the basis element attached to a reduced generator word,
+    as one sparse product per letter, right to left."""
     shape = pt.check_partition(shape)
     m = sum(shape)
     if not all(1 <= i <= m - 1 for i in word):
         raise ValueError(f"generator word {word} out of range for m={m}")
     basis = standard_tableaux(shape)
-    images: dict = {}
-    return _rows(basis, [_word_sum(t, [(0, word)], images) for t in basis])
-
-
-def _transposition_word(i: int, k: int) -> tuple[int, ...]:
-    """Reduced word for the transposition (i, k), i < k."""
-    up = list(range(i, k))
-    down = list(range(k - 2, i - 1, -1))
-    return tuple(up + down)
+    gens = {i: {t: _generator_image(t, i) for t in basis} for i in set(word)}
+    cols = {t: {t: LaurentPoly.one()} for t in basis}
+    for i in reversed(word):
+        cols = {t: _times(vec, gens[i]) for t, vec in cols.items()}
+    return _rows(basis, list(cols.values()))
 
 
 def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
-    """The k-th twisted-transposition sum; ``eval_one`` of its entries gives
-    the plain one."""
+    """The k-th twisted-transposition sum L_k = sum over i < k of v^(i-k) T_(i,k), by
+    L_1 = 0 and L_(j+1) = v^-1 T_j (L_j T_j + 1), as T_(i,j+1) = T_j T_(i,j) T_j;
+    ``eval_one`` of its entries gives the plain one."""
     shape = pt.check_partition(shape)
     if not 2 <= k <= sum(shape):
         raise ValueError("k out of range")
     basis = standard_tableaux(shape)
-    words = [(i - k, _transposition_word(i, k)) for i in range(1, k)]
-    images: dict = {}
-    return _rows(basis, [_word_sum(t, words, images) for t in basis])
+    cols = {t: {} for t in basis}
+    for j in range(1, k):
+        gen = {t: _generator_image(t, j) for t in basis}
+        nxt = {}
+        for t in basis:
+            vec = _times(gen[t], cols)  # column t of L_j T_j
+            vec[t] = vec.get(t, LaurentPoly.zero()) + LaurentPoly.one()
+            nxt[t] = _times(vec, gen, -1)
+        cols = nxt
+    return _rows(basis, list(cols.values()))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcl import cli
+from fcl import cli, partitions
 from fcl.cli import _matrix, build_parser, dispatch
 from fcl.partitions import enumerate_partitions, multiplicities
 from fcl.qseries import _ZERO, LaurentPoly
@@ -303,6 +303,7 @@ KNOWN_HANGS = [
     "specht-matrix --shape 6,5,4 --gen 1",
     "crystal-graph --full --max-m 100",
     "canonical-basis --m 1000000000000",
+    "restriction --n 1000000000 --m 2",
 ]
 
 
@@ -324,6 +325,24 @@ def test_exit_code_resource_cap(capsys):
         assert dispatch(argv.split()) == 4
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("resource cap: "), argv
+
+
+def test_restriction_counts_its_n_residues():
+    # f_i runs for each of the n residues on each column: 10^6 of them at m = 2 take about 7 s
+    assert _cost("restriction --n 1000000 --m 2".split()) <= cli.BUDGET
+    assert _cost("restriction --n 2000000 --m 2".split()) > cli.BUDGET
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("fow --n 2 --partition 1^200000", "error: 1^200000 is not 2-regular\n"),
+    ("js-list --n 2 --core 1^200000", "error: 1^200000 is not a 2-core\n"),
+])
+def test_long_partition_is_quoted_short(capsys, monkeypatch, argv, message):
+    # fow checks regularity before it reads the residues
+    monkeypatch.setattr(partitions, "residue_data", None)
+    assert dispatch(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message) and len(err.encode()) < 200
 
 
 # every size flag with a command that reads it

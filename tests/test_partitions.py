@@ -51,6 +51,15 @@ def test_parse_and_format():
         check_partition((1, 2))
 
 
+def test_quoted_writes_long_runs_as_powers():
+    assert partitions._quoted(()) == "0"
+    assert partitions._quoted((4, 2, 2, 1)) == "4,2,2,1"
+    assert partitions._quoted((5, 3, 3, 3, 1, 1, 1, 1)) == "5,3^3,1^4"
+    # the quoted text parses back to the partition
+    for lam in [(7,) * 9 + (2, 2), (1,) * 50]:
+        assert parse_partition(partitions._quoted(lam)) == lam
+
+
 @pytest.mark.parametrize("text", ["3,x", "3^2^1", "3,,2", "3^-1", "1,2", "3,0", "-1", "2^"])
 def test_parse_rejects_malformed_text_in_domain_terms(text):
     with pytest.raises(ValueError) as err:

@@ -319,6 +319,16 @@ def test_jucys_murphy_symmetric_group():
     assert mat_is_zero(prod)
 
 
+def test_jucys_murphy_sums_commute():
+    # L_2, ..., L_m span a commutative subalgebra of the Hecke algebra
+    for m in range(3, 7):
+        for lam in enumerate_partitions(m):
+            L = {k: jucys_murphy(lam, k) for k in range(2, m + 1)}
+            for j in range(2, m + 1):
+                for k in range(j + 1, m + 1):
+                    assert mat_mul(L[j], L[k]) == mat_mul(L[k], L[j]), (lam, j, k)
+
+
 def test_specialize_integer_points():
     # T_1 with v set to an integer v0 keeps the quadratic relation T^2 = (v0 - 1) T + v0
     mat = rep_matrix((3, 2), 1)
