@@ -249,8 +249,7 @@ def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     n); the empty core uses the summed vacuum-sector identity with its
     overcount correction.
     """
-    if pt.n_core(core, n)[1] != 0:
-        raise ValueError(f"{pt._quoted(core)} is not a {n}-core")
+    pt.check_core(core, n)
     mults = pt.multiplicities(core)
     if len(mults) > 1:
         raise ValueError(f"{pt._quoted(core)} is not rectangular")

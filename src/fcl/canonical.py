@@ -177,7 +177,8 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
     coeffs: dict[tuple[pt.Partition, pt.Partition], LaurentPoly] = {}
     for mu in cols:
         vec = FockVector(n, {})
-        for i in range(n):
+        for i in {(p - r) % n for lam in low[mu].terms  # the addable nodes' residues
+                  for r, p in enumerate(lam + (0,)) if not r or lam[r - 1] > p}:
             vec = vec + f_apply(i, low[mu])
         for lam in rows:  # descending lex order, as the elimination needs
             c = vec.coeff(lam)

@@ -295,8 +295,7 @@ def _edge_sum_cost(a, weight: int):
     if beads > BUDGET:
         return beads, _BEADS
     core = pt.parse_partition(a.core)
-    if pt.n_core(core, a.n)[1]:
-        return 0, ""  # the command refuses the core
+    pt.check_core(core, a.n)
     size = sum(core) + a.n * weight  # a set of part values and a first multiplicity fix one
     return a.n * size * sum(_counts(size, 2)) // 700, f"the edge-sum partitions of size <= {size}"
 
@@ -370,12 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("dot", "json", "text"), default="dot")
 
     def matrix_cost(a):
-        cells = 8 * _counts(a.m)[-1] * _counts(a.m, a.n)[-1]
-        if a.command != "restriction" or a.m < 1:
-            return cells, "the p(m) x r_n(m) matrix cells"
-        # f_i for each of the n residues on each column: about 8 us each, even finding no i-node
-        return (cells + 8 * a.n * _counts(a.m - 1, a.n)[-1],
-                "the p(m) x r_n(m) matrix cells and n residues on each of the r_n(m-1) columns")
+        return 8 * _counts(a.m)[-1] * _counts(a.m, a.n)[-1], "the p(m) x r_n(m) matrix cells"
 
     for name, what in (("canonical-basis", "q-decomposition matrix d(q)"),
                        ("decomp-matrix", "decomposition matrix at q=1"),

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import accumulate
+from operator import add, ge
 
 __all__ = [
     "Partition",
@@ -24,6 +25,7 @@ __all__ = [
     "conjugate",
     "is_n_regular",
     "check_regular",
+    "check_core",
     "check_target",
     "residue_counts",
     "residue_data",
@@ -111,6 +113,11 @@ def is_n_regular(lam: Partition, n: int) -> bool:
 def check_regular(lam: Partition, n: int) -> None:
     if not is_n_regular(lam, n):
         raise ValueError(f"{_quoted(lam)} is not {n}-regular")
+
+
+def check_core(core: Partition, n: int) -> None:
+    if n_core(core, n)[1]:
+        raise ValueError(f"{_quoted(core)} is not a {n}-core")
 
 
 @lru_cache(maxsize=None)
@@ -329,14 +336,9 @@ def enumerate_partitions(m: int, regular: int | None = None) -> list[Partition]:
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:
-    """True iff lam >= mu in dominance order (same total size assumed)."""
-    s1 = s2 = 0
-    for k in range(max(len(lam), len(mu))):
-        s1 += lam[k] if k < len(lam) else 0
-        s2 += mu[k] if k < len(mu) else 0
-        if s1 < s2:
-            return False
-    return True
+    """True iff lam >= mu in dominance order (same total size assumed, so the
+    prefix sums need comparing only up to the shorter length)."""
+    return all(map(ge, accumulate(lam), accumulate(mu)))
 
 
 @lru_cache(maxsize=None)

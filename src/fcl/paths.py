@@ -6,6 +6,12 @@ listing, and height-model configuration sums.
 
 A path is stored as its residue word gamma(0..k*-1); beyond the stored word
 the residues follow the ground pattern gamma(k) = k mod n.
+
+The edge-sum rule, read upward from the shortest rows: a block of a rows of
+length v leaves the state s = (v - a) mod n; the next longer length v' then
+comes (s - v') mod n times, 0 times meaning that v' is absent; the state
+after the top block is the colour j.  ``fow_classify`` checks it,
+``js_partitions_upto`` lists by it and ``_chain_counts`` counts by it.
 """
 
 from __future__ import annotations
@@ -111,47 +117,23 @@ def is_restricted(p: PathWord, j: int) -> bool:
     return True
 
 
-def _edge_sums_ok(mults: list[tuple[int, int]], n: int) -> bool:
-    for k in range(len(mults) - 1):
-        v1, a1 = mults[k]
-        v2, a2 = mults[k + 1]
-        if (a1 + v1 - v2 + a2) % n != 0:
-            return False
-    return True
-
-
 def fow_classify(lam: pt.Partition, n: int):
     """Border-edge classification: the colour j, ALL_J for empty, else None."""
     pt.check_regular(lam, n)
     if not lam:
         return ALL_J
-    mults = pt.multiplicities(lam)
-    if not _edge_sums_ok(mults, n):
-        return None
-    return (mults[0][0] - mults[0][1]) % n
+    blocks = pt.multiplicities(lam)[::-1]
+    s = sum(blocks[0]) % n  # the one state in which the shortest block may start
+    for v, a in blocks:
+        if (s - v) % n != a:
+            return None
+        s = (v - a) % n
+    return s
 
 
 def js_combinatorial(lam: pt.Partition, n: int) -> bool:
     """Irreducible restriction by the border-edge sums alone."""
     return fow_classify(lam, n) is not None
-
-
-def _blocks_after(
-    n: int, block: tuple[int, int] | None, room: int, cap: int
-) -> list[tuple[int, int]]:
-    """The blocks that can follow `block` in an edge-sum chain, within `room`
-    nodes.
-
-    A block (v, a) is a rows of length v.  A chain starts (block None) with
-    any v <= cap and 0 < a < n; after (v', a') each smaller v is forced to
-    a = -(a' + v' - v) mod n by the edge-sum congruence, and a = 0 skips v.
-    """
-    if block is None:
-        return [(v, a) for v in range(1, min(cap, room) + 1) for a in range(1, n)
-                if v * a <= room]
-    v_prev, a_prev = block
-    return [(v, a) for v in range(min(v_prev - 1, room), 0, -1)
-            if (a := -(a_prev + v_prev - v) % n) and v * a <= room]
 
 
 @lru_cache(maxsize=None)
@@ -160,18 +142,22 @@ def js_partitions_upto(
 ) -> tuple[pt.Partition, ...]:
     """All partitions passing the edge-sum test, |lam| <= max_size.
 
-    The chain structure makes this sparse: given a part value, the edge-sum
-    congruence determines the multiplicity of the next part value.
+    One walk up the part values over chains (parts, s, size), each state s
+    starting with the empty chain: each v is skipped or taken (s - v) mod n
+    times.
     """
-    out: list[pt.Partition] = []
-    cap = max_size if max_part is None else max_part
-
-    def expand(lam: pt.Partition, block, size: int):
-        out.append(lam)
-        for v, a in _blocks_after(n, block, max_size - size, cap):
-            expand(lam + (v,) * a, (v, a), size + v * a)
-
-    expand((), None, 0)
+    out: list[pt.Partition] = [()]
+    chains = [((), s, 0) for s in range(n)]
+    for v in range(1, (max_size if max_part is None else max_part) + 1):
+        grown = []
+        for chain in chains:
+            lam, s, size = chain
+            if size + v <= max_size:  # else no room for v or any larger part
+                grown.append(chain)
+                if (a := (s - v) % n) and size + v * a <= max_size:
+                    out.append((v,) * a + lam)
+                    grown.append((out[-1], (v - a) % n, size + v * a))
+        chains = grown
     return tuple(sorted(out, key=lambda lam: (sum(lam), tuple(-p for p in lam))))
 
 
@@ -181,12 +167,12 @@ def _chain_counts(
     """E -> number of edge-sum partitions of colour j (or empty), with parts
     <= max_part and at most max_size nodes, whose residue counts are E + c_i.
 
-    A DP over the part values v = max_part..1 that lists no partition.  A
-    state (s, rows mod n, m - m_0) carries {m_0: count}, where s = (v' + a')
-    mod n for the last block (v', a') and s = j before the first block.  Each
-    v is skipped or comes a = (v - s) mod n times, a = 0 forcing the skip:
-    the rule of `_blocks_after`, and a first block of colour (v - a) mod n = j
-    has the same a.
+    A DP over the part values v = max_part..1 that lists no partition: the
+    module's rule read downward, since the residues of a block depend on the
+    rows above it.  A state (s, rows mod n, m - m_0) carries {m_0: count},
+    where s = (v' + a') mod n for the last block (v', a') and s = j before
+    the first block.  Each v is skipped or comes a = (v - s) mod n times, a =
+    0 forcing the skip; a top block of colour (v - a) mod n = j has that a.
     """
     states = {(j, 0, (0,) * n): {0: 1}}
     for v in range(max_part, 0, -1):
@@ -211,9 +197,7 @@ def _chain_counts(
 
 def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
     """Irreducible-restriction labels with the given core and hook weight d."""
-    got_core, w = pt.n_core(core, n)
-    if w != 0:
-        raise ValueError(f"{pt._quoted(core)} is not a {n}-core")
+    pt.check_core(core, n)
     size = sum(core) + n * d
     return [
         lam
@@ -224,8 +208,7 @@ def js_members(n: int, core: pt.Partition, d: int) -> list[pt.Partition]:
 
 def chi_js_direct(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     """Generating series counting irreducible restrictions by hook weight."""
-    if pt.n_core(core, n)[1] != 0:
-        raise ValueError(f"{pt._quoted(core)} is not a {n}-core")
+    pt.check_core(core, n)
     terms: Counter = Counter()
     for lam in js_partitions_upto(n, sum(core) + n * degree):
         got_core, d = pt.n_core(lam, n)

@@ -8,7 +8,9 @@ generator matrices built from it, the generator-word and Jucys-Murphy
 matrices as dense products of those, n-rim-hooks found by walking the rim, with
 the n-core obtained by removing them one at a time, residue counts row by
 row, branching counts that list the edge-sum partitions and classify them
-one by one, Gaussian binomials as quotients of q-factorials by long
+one by one, the edge-sum test as a congruence on each pair of adjacent
+blocks, dominance by prefix sums over both partitions padded with zeros,
+Gaussian binomials as quotients of q-factorials by long
 division, q-products as repeated ``TruncatedSeries`` products, the node
 model of addable and removable ``Node``s with the classical (q = 1) node
 operators, the signature reduced by deleting RA pairs and rescanning (and
@@ -28,7 +30,7 @@ from fcl.canonical import ladders
 from fcl.fock import FockVector, divided_f
 from fcl.partitions import (
     Partition, check_partition, conjugate, dominates, enumerate_partitions,
-    weight_target_profile,
+    multiplicities, weight_target_profile,
 )
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
 from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
@@ -284,6 +286,24 @@ def n_core_walk(lam: Partition, n: int) -> tuple[Partition, int]:
             return cur, weight
         cur = hooks[0][1]
         weight += 1
+
+
+def edge_sums_ok(lam: Partition, n: int) -> bool:
+    """The edge-sum test: a1 + v1 - v2 + a2 = 0 mod n for adjacent blocks
+    (v1, a1), (v2, a2) of a1 rows of length v1 above a2 rows of length v2 < v1."""
+    mults = multiplicities(lam)
+    return all((a1 + v1 - v2 + a2) % n == 0 for (v1, a1), (v2, a2) in zip(mults, mults[1:]))
+
+
+def dominates_padded(lam: Partition, mu: Partition) -> bool:
+    """lam >= mu in dominance order, prefix sums compared over the longer length."""
+    s1 = s2 = 0
+    for k in range(max(len(lam), len(mu))):
+        s1 += lam[k] if k < len(lam) else 0
+        s2 += mu[k] if k < len(mu) else 0
+        if s1 < s2:
+            return False
+    return True
 
 
 def profile_counts(

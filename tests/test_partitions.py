@@ -27,6 +27,7 @@ from oracles import (
     addable_nodes,
     beta_hook_results,
     content_lists,
+    dominates_padded,
     n_core_walk,
     node_lists,
     removable_nodes,
@@ -325,6 +326,14 @@ def test_dominance():
     assert not dominates((2, 2, 1), (3, 1, 1))
     # incomparable pair
     assert not dominates((4, 1, 1), (3, 3)) and not dominates((3, 3), (4, 1, 1))
+
+
+def test_dominance_by_prefix_sums_is_the_padded_walk():
+    for m in range(13):
+        parts = enumerate_partitions(m)
+        for lam in parts:
+            for mu in parts:
+                assert dominates(lam, mu) == dominates_padded(lam, mu), (lam, mu)
 
 
 def test_weight_target_profile():

@@ -24,11 +24,12 @@ from fcl.paths import (
     is_restricted,
     js_combinatorial,
     js_members,
+    js_partitions_upto,
     to_partition,
     to_path,
 )
 from fcl.qseries import LaurentPoly
-from oracles import branching_poly_listed
+from oracles import branching_poly_listed, edge_sums_ok
 
 EXAMPLE_WORD = PathWord((0, 0, 0, 1, 1, 0, 1, 1, 1, 0), 2)
 
@@ -96,6 +97,32 @@ def test_fow_classify_examples():
         fow_classify(lam, 2)  # not 2-regular input is rejected
     assert fow_classify((), 3) == ALL_J
     assert fow_classify((10, 8, 7, 4, 2, 1), 2) is None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fow_classify_is_the_pairwise_congruence(n):
+    for m in range(1, 17):
+        for lam in enumerate_partitions(m, regular=n):
+            v_top, a_top = multiplicities(lam)[0]
+            expected = (v_top - a_top) % n if edge_sums_ok(lam, n) else None
+            assert fow_classify(lam, n) == expected, lam
+
+
+def _edge_sum_partitions(n, max_size, max_part=None):
+    """The n-regular partitions of size <= max_size passing the pairwise
+    congruence, ordered by size and then descending lexicographically."""
+    return tuple(lam for m in range(max_size + 1) for lam in enumerate_partitions(m, regular=n)
+                 if edge_sums_ok(lam, n) and max(lam, default=0) <= (max_part or max_size))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_js_partitions_upto_lists_the_pairwise_congruence(n):
+    for size in range(17):
+        assert js_partitions_upto(n, size) == _edge_sum_partitions(n, size), size
+    L = 1
+    while (size := (n - 1) * L * (L + 1) // 2) <= 30:
+        assert js_partitions_upto(n, size, max_part=L) == _edge_sum_partitions(n, size, L), L
+        L += 1
 
 
 def test_fow_matches_restricted_paths():
