@@ -4,6 +4,16 @@ crystal graphs, branching multiplicities and the crystal irreducibility test.
 The signature of a partition reads its i-node sweep (columns left to right)
 as A for an addable i-node and R for a removable one; a stack cancels RA
 pairs in that one pass and the survivors A..AR..R locate the good nodes.
+
+Branching multiplicities count vertices in one walk that places rows top
+down and reads the rim right to left: row 0 adds an A of residue lam_0, a
+step lam_k < lam_(k-1) adds an R of residue lam_(k-1) - k, then an A of
+residue lam_k - k, and the last row closes with an R of residue lam_(L-1) - L
+(mod n).  An R cancels a pending A of its residue or else raises eps_i, the
+same bracket matching from the other end.  Later rows only add letters to
+the left, where no R read so far can meet them, so eps only grows: a row
+that pushes an eps_i or a residue count past its bound is dropped with
+everything below it.
 """
 
 from __future__ import annotations
@@ -163,24 +173,49 @@ def branching_series_crystal(
     prof = pt.weight_target_profile(n, j, target)
     terms: dict[int, int] = {}
     if prof is not None:
-        c, s0 = prof
         for e in range(degree + 1):
-            size = n * e + s0
-            if size < 0:
-                continue
-            if any(e + ci < 0 for ci in c):
-                continue
-            want = tuple(e + ci for ci in c)
-            count = 0
-            for lam in pt.enumerate_partitions(size, regular=n):
-                if pt.residue_counts(lam, n) != want:
-                    continue
-                eps = [eps_phi(lam, n, i)[0] for i in range(n)]
-                if eps[j] <= 1 and all(eps[i] == 0 for i in range(n) if i != j):
-                    count += 1
-            if count:
+            want = [e + ci for ci in prof[0]]
+            if min(want) >= 0 and (count := _vertices(n, j, want)):
                 terms[e] = count
     return TruncatedSeries(terms, 1, degree)
+
+
+def _vertices(n: int, j: int, want: list[int]) -> int:
+    """The n-regular partitions with residue counts `want` and eps_i <= [i = j].
+
+    `rows(k, prev, run, left)` places row k below `run` rows of length `prev`,
+    `left` nodes to go.  Row -1 is longer than any row; a seeded A meets the
+    R closing it.
+    """
+    size = sum(want)
+    pending, eps = [0] * n, [0] * n
+    pending[(size + 1) % n] = 1
+
+    def rows(k: int, prev: int, run: int, left: int) -> int:
+        r = (prev - k) % n  # the R closing row k - 1, read if row k is shorter
+        tally, step = (pending, -1) if pending[r] else (eps, 1)
+        closes = tally is pending or eps[r] < (r == j)
+        if not left:
+            return int(closes)
+        if closes:
+            tally[r] += step
+        count = p = 0
+        while p < min(prev, left) and want[(p - k) % n]:
+            want[(p - k) % n] -= 1  # the node in column p + 1 of row k
+            p += 1
+            if p < prev and closes:
+                pending[(p - k) % n] += 1  # the A just right of row k
+                count += rows(k + 1, p, 1, left - p)
+                pending[(p - k) % n] -= 1
+        if closes:
+            tally[r] -= step
+        if p == prev and run < n - 1:
+            count += rows(k + 1, p, run + 1, left - p)
+        for q in range(p):
+            want[(q - k) % n] += 1
+        return count
+
+    return rows(0, size + 1, 0, size)
 
 
 def to_dot(graph: CrystalGraph) -> str:

@@ -158,7 +158,8 @@ def js_partitions_upto(
                     out.append((v,) * a + lam)
                     grown.append((out[-1], (v - a) % n, size + v * a))
         chains = grown
-    return tuple(sorted(out, key=lambda lam: (sum(lam), tuple(-p for p in lam))))
+    out.sort(reverse=True)  # then stably by size: no partition of a size prefixes another
+    return tuple(sorted(out, key=sum))
 
 
 def _chain_counts(

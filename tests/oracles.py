@@ -27,10 +27,11 @@ from typing import NamedTuple
 
 from fcl import specht
 from fcl.canonical import ladders
+from fcl.crystal import eps_phi
 from fcl.fock import FockVector, divided_f
 from fcl.partitions import (
     Partition, check_partition, conjugate, dominates, enumerate_partitions,
-    multiplicities, weight_target_profile,
+    multiplicities, residue_counts, weight_target_profile,
 )
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
 from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
@@ -341,6 +342,29 @@ def branching_series_listed(
     c, s0 = prof
     pool = js_partitions_upto(n, n * degree + max(s0, 0))
     return TruncatedSeries(profile_counts(n, j, c, pool), 1, degree)
+
+
+def branching_series_crystal_listed(
+    n: int, j: int, target: tuple[int, int], degree: int
+) -> TruncatedSeries:
+    """Crystal-vertex branching series: the n-regular partitions of n*e + s0
+    nodes with residue counts e + c_i whose eps profile is at most [i = j]."""
+    prof = weight_target_profile(n, j, target)
+    terms: dict[int, int] = {}
+    if prof is not None:
+        c, s0 = prof
+        for e in range(degree + 1):
+            want = tuple(e + ci for ci in c)
+            if min(want) < 0:  # n * e + s0 = sum(want) nodes
+                continue
+            count = sum(
+                1 for lam in enumerate_partitions(n * e + s0, regular=n)
+                if residue_counts(lam, n) == want
+                and all(eps_phi(lam, n, i)[0] <= (i == j) for i in range(n))
+            )
+            if count:
+                terms[e] = count
+    return TruncatedSeries(terms, 1, degree)
 
 
 def laurent_text(p: LaurentPoly, var: str = "q") -> str:

@@ -12,8 +12,10 @@ from fcl.crystal import (
 from fcl import crystal
 from fcl.cli import dispatch
 from fcl.errors import ConventionError
-from fcl.partitions import enumerate_partitions
-from oracles import add_node, crystal_graph_bfs, e_tilde, restart_signature
+from fcl.partitions import enumerate_partitions, weight_target_profile
+from oracles import (
+    add_node, branching_series_crystal_listed, crystal_graph_bfs, e_tilde, restart_signature,
+)
 
 BIG = (16, 13, 11, 10, 9, 8, 7, 5, 2)
 
@@ -180,6 +182,21 @@ def test_branching_series_goldens():
     assert branching_series_crystal(3, 1, (2, 2), 3).coeffs_upto(3) == [0, 1, 1, 2]
     assert branching_series_crystal(3, 2, (0, 2), 2).coeffs_upto(2) == [1, 1, 2]
     assert branching_series_crystal(3, 2, (1, 1), 3).coeffs_upto(3) == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("n, degree", [(2, 16), (3, 10), (4, 7), (5, 5)])
+def test_branching_walk_is_the_filtered_listing(n, degree):
+    # every target, the unreachable ones (no profile) and those with fewer
+    # nodes than n * e (s0 < 0) among them; the e = 0 term is the empty partition
+    profiles = []
+    for j in range(n):
+        for st in ((s, t) for s in range(n) for t in range(n)):
+            profiles.append(weight_target_profile(n, j, st))
+            walk = branching_series_crystal(n, j, st, degree)
+            listed = branching_series_crystal_listed(n, j, st, degree)
+            assert walk == listed, (n, j, st)
+    assert None in profiles and any(p and p[1] < 0 for p in profiles)
+    assert branching_series_crystal(n, 0, (0, 0), degree).coeff(0) == 1
 
 
 def test_js_crystal_goldens():
