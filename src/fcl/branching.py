@@ -252,7 +252,7 @@ def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     pt.check_core(core, n)
     mults = pt.multiplicities(core)
     if len(mults) > 1:
-        raise ValueError(f"{pt._quoted(core)} is not rectangular")
+        raise ValueError(f"{pt._quoted(mults)} is not rectangular")
     if not core:
         total = TruncatedSeries({}, 1, degree)
         for k in range(n):

@@ -16,8 +16,9 @@ import csv
 import io
 import json
 import sys
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import comb, factorial, prod
+from operator import is_not
 
 from . import branching, canonical, crystal, fock, paths, specht
 from . import partitions as pt
@@ -39,17 +40,26 @@ def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cel
 
     CSV has a header of column labels, one line per row label and '.' for a
     zero entry; JSON has the head fields plus "entries".  The library fills
-    its matrices with the one zero ``_ZERO``, so a zero is found by identity
-    first; ``is_zero`` catches any other.
+    its matrices with the one zero ``_ZERO``, so one scan by identity finds a
+    row's other entries, and the texts of those that are not zero either are
+    patched into a row of zero cells.  No cell text holds a comma, quote or
+    line break, so only the labels need CSV quoting.
     """
-    zero = cell(_ZERO) if fmt == "json" else "."
-    body = (
-        [zero if e is _ZERO or e.is_zero() else cell(e) for e in row] for row in entries
-    )
+    blank = [cell(_ZERO) if fmt == "json" else "."] * len(cols)
+    show = cell if fmt == "json" else lambda e: str(cell(e))
+
+    def patched(row) -> list:
+        cells = blank.copy()
+        for j in compress(range(len(row)), map(is_not, row, repeat(_ZERO))):
+            if not row[j].is_zero():
+                cells[j] = show(row[j])
+        return cells
+
     if fmt == "json":
-        return json.dumps({**head, "entries": list(body)}, sort_keys=True)
-    lines = ([label, *cells] for label, cells in zip(rows, body))
-    return _csv(chain([["", *cols]], lines))
+        return json.dumps({**head, "entries": list(map(patched, entries))}, sort_keys=True)
+    labels = _csv([r] for r in rows).splitlines()
+    return _csv([["", *cols]]) + "".join(
+        f"{label},{','.join(patched(row))}\n" for label, row in zip(labels, entries))
 
 
 def _emit(x: LaurentPoly | TruncatedSeries, fmt: str, var: str = "q") -> str:
@@ -130,6 +140,16 @@ def cmd_tableaux(args) -> str:
     return "\n".join(rows)
 
 
+def _partition_flag(text: str, n: int, core: bool = False) -> pt.Partition:
+    """The partition a flag spells, refused before it is expanded if its (value,
+    count) pairs hold n equal parts: it is then not n-regular, nor an n-core
+    (n parts v leave an n-hook ending in the first of the block's last n rows)."""
+    mults = pt.parse_multiplicities(text)
+    if n >= 2 and any(c >= n for _, c in mults):
+        raise ValueError(f"{pt._quoted(mults)} is not {f'a {n}-core' if core else f'{n}-regular'}")
+    return pt.parse_partition(text)
+
+
 def cmd_js_list(args) -> str:
     core = pt.parse_partition(args.core)
     members = paths.js_members(args.n, core, args.weight)
@@ -153,7 +173,7 @@ def cmd_fow(args) -> str:
                 pt.format_partition(core), w]
 
     if args.partition is not None:
-        lams = [pt.parse_partition(args.partition)]
+        lams = [_partition_flag(args.partition, n)]
     else:
         lams = pt.enumerate_partitions(args.m, regular=n)
     header = ["partition", "E", "wt", "fow_j", "js", "core", "weight"]
@@ -174,7 +194,7 @@ def cmd_branching(args) -> str:
 
 
 def cmd_chi(args) -> str:
-    core = pt.parse_partition(args.core)
+    core = _partition_flag(args.core, args.n, core=True)
     if args.source == "direct":
         series = paths.chi_js_direct(args.n, core, args.degree)
     else:
@@ -294,7 +314,7 @@ def _edge_sum_cost(a, weight: int):
     beads = _beads(a.core, a.n)
     if beads > BUDGET:
         return beads, _BEADS
-    core = pt.parse_partition(a.core)
+    core = _partition_flag(a.core, a.n, core=True)
     pt.check_core(core, a.n)
     size = sum(core) + a.n * weight  # a set of part values and a first multiplicity fix one
     return a.n * size * sum(_counts(size, 2)) // 700, f"the edge-sum partitions of size <= {size}"

@@ -81,10 +81,10 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam) if lam else "0"
 
 
-def _quoted(lam: Partition) -> str:
-    """A partition for an error message: each run of c >= 3 equal parts as value^c."""
-    return ",".join(f"{v}^{c}" if c >= 3 else ",".join([str(v)] * c)
-                    for v, c in multiplicities(lam)) or "0"
+def _quoted(mults: list[tuple[int, int]]) -> str:
+    """A partition, given by its (value, multiplicity) pairs, for an error
+    message: each run of c >= 3 equal parts as value^c."""
+    return ",".join(f"{v}^{c}" if c >= 3 else ",".join([str(v)] * c) for v, c in mults) or "0"
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -112,12 +112,12 @@ def is_n_regular(lam: Partition, n: int) -> bool:
 
 def check_regular(lam: Partition, n: int) -> None:
     if not is_n_regular(lam, n):
-        raise ValueError(f"{_quoted(lam)} is not {n}-regular")
+        raise ValueError(f"{_quoted(multiplicities(lam))} is not {n}-regular")
 
 
 def check_core(core: Partition, n: int) -> None:
     if n_core(core, n)[1]:
-        raise ValueError(f"{_quoted(core)} is not a {n}-core")
+        raise ValueError(f"{_quoted(multiplicities(core))} is not a {n}-core")
 
 
 @lru_cache(maxsize=None)

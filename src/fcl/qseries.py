@@ -303,6 +303,23 @@ def _built(acc: dict, den: int = 1) -> dict:
     return out
 
 
+_DIGIT, _UNPACKED = 64, {}
+
+
+def _unpack(x: int) -> LaurentPoly:
+    """The polynomial sum c_e v^e, e >= 0, packed as x = sum c_e 2^(_DIGIT e) (Kronecker
+    substitution), read off x's balanced digits: exact while every |c_e| < 2^(_DIGIT - 1).
+    One LaurentPoly per distinct x, shared by every caller."""
+    p = _UNPACKED.get(x)
+    if p is None:
+        terms, e, rest, half = {}, 0, x, 1 << (_DIGIT - 1)
+        while rest:
+            c = terms[e] = ((rest + half) & (2 * half - 1)) - half
+            rest, e = (rest - c) >> _DIGIT, e + 1
+        p = _UNPACKED[x] = LaurentPoly(terms)
+    return p
+
+
 class Combination:
     """A finite combination of basis keys with nonzero LaurentPoly coefficients.
 

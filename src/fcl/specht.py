@@ -5,16 +5,24 @@ relations (a column transposition flips the sign) and Garnir relations;
 straightening rewrites any tableau vector in the standard-tableau basis,
 and generator images assembled column by column give integer-polynomial
 representation matrices for the deformed symmetric-group algebra.
+
+Straightening multiplies only by signs and powers v^k, k >= 0, so each of its
+coefficients is packed as one int sum c_e 2^(64 e), read back by ``qseries._unpack``.
+Each cached entry carries a bound on the L1 norm of its coefficients, 1 for a
+standard tableau and else the sum of its Garnir summands' bounds; a bound of 2^63,
+where a digit could wrap into the next, is refused, so every digit unpacks exactly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 from . import partitions as pt
+from . import qseries
 from .errors import ConventionError
-from .qseries import _MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built
+from .qseries import _MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built, _unpack
 
 __all__ = [
     "Tableau",
@@ -35,25 +43,17 @@ Tableau = tuple[tuple[int, ...], ...]
 
 
 def shape_of(t: Tableau) -> pt.Partition:
-    return tuple(len(row) for row in t)
+    return tuple(map(len, t))
 
 
 def tableau_text(t: Tableau) -> str:
-    m = sum(len(row) for row in t)
-    if m <= 9:
-        return "/".join("".join(str(e) for e in row) for row in t)
-    return "/".join(",".join(str(e) for e in row) for row in t)
+    sep = "" if sum(map(len, t)) <= 9 else ","
+    return "/".join(sep.join(map(str, row)) for row in t)
 
 
 def parse_tableau(text: str) -> Tableau:
-    comma_form = "," in text
-    rows = []
-    for chunk in text.split("/"):
-        if comma_form:
-            rows.append(tuple(int(x) for x in chunk.split(",")))
-        else:
-            rows.append(tuple(int(ch) for ch in chunk))
-    return tuple(rows)
+    comma = "," in text
+    return tuple(tuple(map(int, chunk.split(",") if comma else chunk)) for chunk in text.split("/"))
 
 
 def is_column_standard(t: Tableau) -> bool:
@@ -140,8 +140,8 @@ def _column_sort(t: Tableau) -> tuple[int, Tableau]:
 
 
 def _crossings(left, right) -> int:
-    """Pairs (a, b), a in left and b in right, with a > b."""
-    return sum(1 for a in left for b in right if a > b)
+    """Pairs (a, b), a in left and b in right, with a > b; right increases."""
+    return sum(map(bisect_left, repeat(right, len(left)), left))
 
 
 def _garnir_terms(z: Tableau, r0: int, c0: int, heights: pt.Partition):
@@ -193,15 +193,13 @@ def garnir(z: Tableau, row: int, col: int) -> list[tuple[Tableau, LaurentPoly]]:
     return out
 
 
-def _sorted_summand(z: Tableau, r0: int, c0: int, heights, left, right) -> tuple[int, Tableau]:
+def _sorted_summand(z: Tableau, c0: int, above, below, left, right) -> tuple[int, Tableau]:
     """A Garnir summand of z with columns c0 and c0+1 sorted, and the sign that costs.
 
-    Only those two columns change, and each is two increasing runs: the
-    rows of z above ``left`` and ``left``; ``right`` and the rows of z
-    below it.
+    Only those two columns change, and each is two increasing runs: ``above``,
+    the rows of z's column c0 above ``left``, and ``left``; ``right`` and
+    ``below``, the rows of z's column c0+1 below it.
     """
-    above = tuple(z[r][c0] for r in range(r0))
-    below = tuple(z[r][c0 + 1] for r in range(r0 + 1, heights[c0 + 1]))
     sign = -1 if (_crossings(above, left) + _crossings(right, below)) % 2 else 1
     col0 = sorted(above + left)
     col1 = sorted(right + below)
@@ -233,25 +231,16 @@ class SpechtVector(Combination):
         return f"[{tableau_text(t)}]"
 
 
-def _first_violation(t: Tableau) -> tuple[int, int] | None:
-    for r, rw in enumerate(t):
-        for c in range(len(rw) - 1):
-            if rw[c] > rw[c + 1]:
-                return r, c
-    return None
+_STRAIGHTEN_CACHE: dict[Tableau, tuple[tuple[tuple[Tableau, int], ...], int]] = {}
 
 
-_STRAIGHTEN_CACHE: dict[Tableau, tuple[tuple[Tableau, LaurentPoly], ...]] = {}
-
-
-def _straighten_sorted(
-    z: Tableau, _active: set[Tableau] | None = None
-) -> tuple[tuple[Tableau, LaurentPoly], ...]:
-    """Express a column-standard tableau vector in the standard basis.
+def _straighten_sorted(z: Tableau, _active: set[Tableau] | None = None) -> tuple[tuple, int]:
+    """A column-standard tableau vector in the standard basis, as its
+    (tableau, packed coefficient) pairs and their bound.
 
     At the first row violation, z is minus the sum of its other Garnir
-    summands; each is column-sorted and straightened in turn, and the
-    coefficients are summed as integer exponents.
+    summands; each is column-sorted and straightened in turn, and its packed
+    coefficients, shifted by v^k, are summed as ints.
     """
     cached = _STRAIGHTEN_CACHE.get(z)
     if cached is not None:
@@ -260,22 +249,27 @@ def _straighten_sorted(
         _active = set()
     if z in _active:
         raise ConventionError("straightening revisited a tableau (cycle)")
-    violation = _first_violation(z)
+    violation = next(((r, c) for r, rw in enumerate(z) for c in range(len(rw) - 1)
+                      if rw[c] > rw[c + 1]), None)
     if violation is None:
-        result = ((z, LaurentPoly.one()),)
+        result = (((z, 1),), 1)
     else:
         _active.add(z)
-        r0, c0 = violation
-        heights = _heights(shape_of(z))
-        terms = _garnir_terms(z, r0, c0, heights)
-        acc = {}
-        for k, left, right in terms[1:]:
-            sign, u = _sorted_summand(z, r0, c0, heights, left, right)
+        (r0, c0), heights = violation, _heights(shape_of(z))
+        above = tuple(z[r][c0] for r in range(r0))
+        below = tuple(z[r][c0 + 1] for r in range(r0 + 1, heights[c0 + 1]))
+        digit, acc, bound = qseries._DIGIT, {}, 0
+        for k, left, right in _garnir_terms(z, r0, c0, heights)[1:]:
+            sign, u = _sorted_summand(z, c0, above, below, left, right)
             f = sign if k % 2 else -sign  # minus the summand's (-v)^k, times the sign
-            for b, c in _straighten_sorted(u, _active):
-                _add_shifted(acc.setdefault(b, {}), c, k, 1, f)
+            pairs, b = _straighten_sorted(u, _active)
+            bound += b
+            for t, c in pairs:
+                acc[t] = acc.get(t, 0) + (f * c << digit * k)
         _active.discard(z)
-        result = tuple(_built(acc).items())
+        if bound >> (digit - 1):
+            raise ConventionError(f"straightened coefficients of {tableau_text(z)} could pass 2^{digit - 1}")
+        result = (tuple((t, c) for t, c in acc.items() if c), bound)
     _STRAIGHTEN_CACHE[z] = result
     return result
 
@@ -286,9 +280,7 @@ def straighten(t: Tableau) -> SpechtVector:
     if entries != list(range(1, len(entries) + 1)):
         raise ValueError("tableau entries must be a bijective filling by 1..m")
     sign, z = _column_sort(t)
-    terms = {
-        b: (c if sign == 1 else -c) for b, c in _straighten_sorted(z)
-    }
+    terms = {b: _unpack(sign * c) for b, c in _straighten_sorted(z)[0]}
     return SpechtVector(shape_of(t), terms)
 
 
@@ -309,7 +301,7 @@ def _generator_image(t: Tableau, i: int) -> dict[Tableau, LaurentPoly]:
         return {t: _MINUS_ONE}
     x = _swap_entries(t, i, i + 1)
     if ri == rj:
-        return dict(_straighten_sorted(x))
+        return {b: _unpack(c) for b, c in _straighten_sorted(x)[0]}
     if ci < cj:
         return {x: LaurentPoly.one()}
     return {x: _V, t: _V_MINUS_ONE}

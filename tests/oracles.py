@@ -17,10 +17,14 @@ operators, the signature reduced by deleting RA pairs and rescanning (and
 e~_i, which removes its good removable node), the crystal graph grown by
 breadth-first f~_i steps, and the lower global basis corrected from ladder
 monomials built from the empty partition.  The arithmetic of Fock and Specht
-vectors is checked key by key with ``LaurentPoly`` operations, and
-polynomial text is built from ``Fraction`` exponents.
+vectors is checked key by key with ``LaurentPoly`` operations,
+polynomial text is built from ``Fraction`` exponents, and a labelled matrix
+is written cell by cell through one ``csv.writer``.
 """
 
+import csv
+import io
+import json
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -365,6 +369,20 @@ def branching_series_crystal_listed(
             if count:
                 terms[e] = count
     return TruncatedSeries(terms, 1, degree)
+
+
+def matrix_text(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cell) -> str:
+    """The CLI's matrix output: every entry tested with ``is_zero`` and
+    written as '.' (CSV) or cell of the zero (JSON), else as cell(entry), and
+    every CSV row, labels and cells alike, written through one csv.writer."""
+    zero = cell(LaurentPoly.zero()) if fmt == "json" else "."
+    body = [[zero if e.is_zero() else cell(e) for e in row] for row in entries]
+    if fmt == "json":
+        return json.dumps({**head, "entries": body}, sort_keys=True)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["", *cols], *([label, *cells] for label, cells in zip(rows, body))])
+    return buf.getvalue()
 
 
 def laurent_text(p: LaurentPoly, var: str = "q") -> str:

@@ -53,5 +53,7 @@ def test_one_combination_type_and_one_accumulator():
         for name in ("__add__", "__sub__", "scaled", "minus_scaled", "__eq__", "to_text"):
             assert name not in vars(cls), f"{cls.__name__}.{name}"
     for mod in (fock, specht, branching):
-        for name in ("_pruned", "_built", "_lattice", "_add_shifted", "_build"):
+        for name in ("_pruned", "_built", "_lattice", "_add_shifted", "_build", "_unpack"):
             assert getattr(mod, name, None) in (None, getattr(qseries, name, None)), name
+    # packed straightening coefficients are read back by qseries' one decoder
+    assert specht._unpack is qseries._unpack

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fcl import cli, partitions
 from fcl.cli import _matrix, build_parser, dispatch
 from fcl.partitions import enumerate_partitions, multiplicities
@@ -346,6 +347,62 @@ def test_long_partition_is_quoted_short(capsys, monkeypatch, argv, message):
     assert (out, err) == ("", message) and len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("fow --n 2 --partition 1^4999998", "error: 1^4999998 is not 2-regular\n"),
+    ("js-list --n 2 --core 1^4999998", "error: 1^4999998 is not a 2-core\n"),
+    ("chi --n 2 --core 1^4999998", "error: 1^4999998 is not a 2-core\n"),
+    ("chi --n 2 --core 1^4999998 --source direct", "error: 1^4999998 is not a 2-core\n"),
+    ("fow --n 3 --partition 9,2^3,1", "error: 9,2^3,1 is not 3-regular\n"),
+])
+def test_partition_flag_with_n_equal_parts_exits_2_before_it_is_expanded(capsys, monkeypatch,
+                                                                          argv, message):
+    # the check reads the (value, count) pairs; expanding the flag would fail here
+    monkeypatch.setattr(partitions, "parse_partition", None)
+    start = time.perf_counter()
+    assert dispatch(argv.split()) == 2
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("text, n", [("3,1,1", 2), ("2^3,1^4", 3), ("5,3^3,1^4", 3), ("4^2", 2),
+                                     ("1^200000", 2)])
+def test_flag_refusals_are_the_library_refusals(text, n):
+    lam = partitions.parse_partition(text)
+    for core, check in ((False, partitions.check_regular), (True, partitions.check_core)):
+        with pytest.raises(ValueError) as library:
+            check(lam, n)
+        with pytest.raises(ValueError) as flag:
+            cli._partition_flag(text, n, core)
+        assert str(flag.value) == str(library.value)
+
+
+WRITER_ARGV = [
+    # size-10 shapes, whose tableau labels hold commas, and a one-row shape (f = 1)
+    "specht-matrix --shape 5,4,1 --gen 3", "specht-matrix --shape 4,4,2 --gen 9",
+    "specht-matrix --shape 7 --gen 3",
+    *(f"{command} --n {n} --m {m}" for command in ("decomp-matrix", "canonical-basis", "restriction")
+      for n in (2, 3) for m in (0, 1, 11)),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", WRITER_ARGV)
+def test_matrix_writer_is_the_csv_writer_oracle(capsys, monkeypatch, argv, fmt):
+    argv = [*argv.split(), "--format", fmt]
+    written = dispatch(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_matrix", oracles.matrix_text)
+    assert written == (dispatch(argv), capsys.readouterr())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-40, 40), st.integers(-10**6, 10**6), max_size=8),
+       st.integers(1, 6))
+def test_no_cell_text_needs_csv_quoting(terms, den):
+    # so the writer joins the cells of a row with "," as they are
+    p = LaurentPoly(terms, den)
+    assert not set(p.to_text("v") + str(p.eval_one())) & set(',"\r\n')
+
+
 # every size flag with a command that reads it
 SIZE_FLAGS = [
     ("canonical-basis", "--m"),
@@ -425,7 +482,9 @@ def test_budget_admits_the_ci_and_readme_commands():
               for line in README.read_text().splitlines() if line.startswith("fcl ")]
     assert len(readme) == 15
     ci = ["branching --n 4 --j 0 --target 0,0 --L 24 --source paths".split(),
-          "specht-matrix --shape 5,4,3 --gen 5 --format csv".split()]
+          "specht-matrix --shape 5,4,3 --gen 5 --format csv".split(),
+          "specht-matrix --shape 6,4,1,1 --gen 5 --format json".split(),
+          "fow --n 2 --partition 1^4999998".split()]
     for argv in readme + ci:
         assert _cost(argv) <= cli.BUDGET, argv
 

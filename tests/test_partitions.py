@@ -53,12 +53,17 @@ def test_parse_and_format():
 
 
 def test_quoted_writes_long_runs_as_powers():
-    assert partitions._quoted(()) == "0"
-    assert partitions._quoted((4, 2, 2, 1)) == "4,2,2,1"
-    assert partitions._quoted((5, 3, 3, 3, 1, 1, 1, 1)) == "5,3^3,1^4"
+    # _quoted reads the (value, multiplicity) pairs, so no flag is expanded for it
+    def quoted(lam):
+        return partitions._quoted(partitions.multiplicities(lam))
+
+    assert quoted(()) == "0"
+    assert quoted((4, 2, 2, 1)) == "4,2,2,1"
+    assert quoted((5, 3, 3, 3, 1, 1, 1, 1)) == "5,3^3,1^4"
+    assert partitions._quoted([(1, 10**12)]) == "1^1000000000000"
     # the quoted text parses back to the partition
     for lam in [(7,) * 9 + (2, 2), (1,) * 50]:
-        assert parse_partition(partitions._quoted(lam)) == lam
+        assert parse_partition(quoted(lam)) == lam
 
 
 @pytest.mark.parametrize("text", ["3,x", "3^2^1", "3,,2", "3^-1", "1,2", "3,0", "-1", "2^"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcl import qseries
 from fcl.errors import ExactDivisionError
 from fcl.partitions import enumerate_partitions
 from fcl.qseries import (
@@ -170,6 +171,26 @@ def test_text_forms():
 def test_text_matches_the_fraction_oracle(terms, den, var):
     p = LaurentPoly(terms, den)
     assert p.to_text(var) == laurent_text(p, var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 20),
+                       st.integers(-(2**63) + 1, 2**63 - 1) | st.integers(-3, 3), max_size=8))
+def test_unpack_reads_back_the_packed_coefficients(terms):
+    # a negative digit borrows from the next, so the int's base-2^64 digits
+    # are not the coefficients; the balanced digits are
+    x = sum(c << 64 * e for e, c in terms.items())
+    p = qseries._unpack(x)
+    assert p == LaurentPoly(terms)
+    assert qseries._unpack(x) is p  # one polynomial per packed value
+    assert qseries._unpack(-x) == -p
+
+
+def test_unpack_at_the_digit_edges():
+    for c in (2**63 - 1, -(2**63) + 1, -1, 1):
+        assert qseries._unpack(c << 64 * 3).terms == {3: c}
+    assert qseries._unpack((1 << 64) - 1).terms == {0: -1, 1: 1}  # v - 1
+    assert qseries._unpack(0) == LaurentPoly.zero()
 
 
 def test_text_reduces_each_exponent():

@@ -3,6 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fcl import qseries, specht
+from fcl.cli import dispatch
+from fcl.errors import ConventionError
 from fcl.partitions import enumerate_partitions
 from fcl.qseries import LaurentPoly
 from fcl.specht import (
@@ -224,6 +227,31 @@ ORACLE_SHAPES += [(4, 3, 1), (5, 2, 1)]
 def test_rep_matrix_is_the_oracle(shape):
     for i in range(1, sum(shape)):
         assert [list(row) for row in rep_matrix(shape, i)] == oracles.rep_matrix(shape, i), i
+
+
+@pytest.fixture
+def narrow_digits(monkeypatch):
+    """Straighten on 4-bit digits, so a coefficient must stay within +-7,
+    with fresh caches; every cache is put back afterwards."""
+    monkeypatch.setattr(qseries, "_DIGIT", 4)
+    monkeypatch.setattr(qseries, "_UNPACKED", {})
+    monkeypatch.setattr(specht, "_STRAIGHTEN_CACHE", {})
+    rep_matrix.cache_clear()
+    yield
+    rep_matrix.cache_clear()
+
+
+def test_packed_digits_are_refused_before_they_could_wrap(narrow_digits, capsys):
+    # (3,2,1): the straightenings of T_1..T_3 carry bounds of at most 6, below
+    # the narrowed limit 2^3, and stay exact; T_4 carries a bound of 8
+    for i in (1, 2, 3):
+        assert [list(row) for row in rep_matrix((3, 2, 1), i)] == oracles.rep_matrix((3, 2, 1), i)
+    assert max(bound for _, bound in specht._STRAIGHTEN_CACHE.values()) < 8
+    with pytest.raises(ConventionError, match="2\\^3"):
+        rep_matrix((3, 2, 1), 4)
+    assert dispatch(["specht-matrix", "--shape", "3,2,1", "--gen", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal convention violation: straightened coefficients of ")
 
 
 @st.composite
