@@ -3,22 +3,38 @@
 Each n-regular mu starts from A(mu) = f_r^(k) G(mu_bar), mu_bar being mu
 without its highest ladder (k nodes of residue r); Gaussian correction
 against the finished basis vectors removes the bar-noninvariant part of every
-other coefficient, leaving the canonical column d_(lambda,mu)(q).  Finished
-columns share one tuple per partition and one LaurentPoly per coefficient.
-Evaluating at q=1 gives the decomposition matrix of the type-A Hecke algebra
-at an n-th root of unity; pushing the lowering operators through the basis
-gives restriction multiplicities.
+other coefficient, leaving the canonical column d_(lambda,mu)(q).  Evaluating
+at q=1 gives the decomposition matrix of the type-A Hecke algebra at an n-th
+root of unity; pushing the lowering operators through the basis gives
+restriction multiplicities.
+
+A column is {partition: int}, each coefficient sum c_e q^e packed as
+sum c_e 2^(64 (e + off)) with one lift off per column, so that every exponent
+e >= -off and every q^w is a left shift; ``qseries._pack`` and ``_unpack``
+write and read the digits.  The bar closure, the qZ[q] test and the unit
+leading term read the low off + 1 digits, the exponents -off..0.  Each column
+carries a bound on the L1 norm of every coefficient: a lowering multiplies it
+by the most removable nodes a partition of the new size can have, a
+correction by gamma G(nu) adds |gamma|_1 times G(nu)'s bound, and a finished
+column resets it to its largest exact norm.  A bound of 2^63, where a digit
+could wrap into the next, is refused before any digit is read, so every digit
+unpacks exactly.  Finished columns have lift 0 and share one tuple per
+partition and one int per coefficient; only the size asked for is unpacked,
+into LaurentPoly objects shared through ``_unpack``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, repeat
+from math import isqrt
 
 from . import partitions as pt
+from . import qseries
 from .errors import ConventionError
-from .fock import FockVector, divided_f, f_apply
-from .qseries import LaurentPoly
+from .fock import FockVector, _lowerings, divided_f
+from .qseries import _ZERO, LaurentPoly, _pack, _unpack
 
 __all__ = [
     "ladders",
@@ -45,12 +61,6 @@ def ladders(mu: pt.Partition, n: int) -> list[tuple[int, int, int]]:
     return [(ell, (1 - ell) % n, counts[ell]) for ell in sorted(counts)]
 
 
-def _leading_ok(vec: FockVector, mu: pt.Partition) -> bool:
-    if vec.coeff(mu) != LaurentPoly.one():
-        return False
-    return all(lam == mu or pt.dominates(mu, lam) for lam in vec.terms)
-
-
 def _top_ladder(mu: pt.Partition, n: int) -> tuple[int, int, pt.Partition]:
     """(r, k, mu_bar): the highest ladder of mu holds k nodes of residue r; mu_bar lacks them."""
     top, res, k = ladders(mu, n)[-1]
@@ -60,22 +70,63 @@ def _top_ladder(mu: pt.Partition, n: int) -> tuple[int, int, pt.Partition]:
     return res, k, tuple(p for p in rows if p)
 
 
-# Finished columns share their keys and coefficients through these tables.
+# Finished columns share their keys and packed coefficients through these tables;
+# each packed coefficient is kept with its L1 norm.
 _PARTS: dict[pt.Partition, pt.Partition] = {}
-_COEFFS: dict[LaurentPoly, LaurentPoly] = {}
+_PACKED: dict[int, tuple[int, int]] = {}
+Column = dict[pt.Partition, int]  # partition -> packed coefficient
 
 
-def _bar_closure(c: LaurentPoly) -> LaurentPoly:
-    """The unique bar-invariant Laurent polynomial congruent to c mod qZ[q]."""
-    if c.den != 1:
-        raise ConventionError("canonical-basis coefficient off the integer lattice")
-    out: dict[int, int] = {}
-    for e, k in c.terms.items():
-        if e <= 0:
-            out[e] = k
-            if e < 0:
-                out[-e] = k
-    return LaurentPoly(out)
+def _lowered(n: int, residues: tuple[int, ...] | set[int], col: Column, bound: int
+             ) -> tuple[Column, int, int]:
+    """The sum of f_i over the residues on a finished packed column (lift 0) with coefficient
+    bound: (image, lift, bound).
+
+    Every q^w of ``fock._lowerings`` is a left shift by w plus the lift, which is the most
+    negative w.  A partition nu of size s is reached from at most k partitions, one per
+    removable node, where k(k+1)/2 <= s; so k times the bound bounds the image.
+    """
+    digit = qseries._DIGIT
+    found = [(x, _lowerings(lam, n, i)) for lam, x in col.items() for i in residues]
+    lift = max(0, -min((w for _, steps in found for _, w in steps), default=0))
+    acc: Column = {}
+    for x, steps in found:
+        for nu, w in steps:
+            acc[nu] = acc.get(nu, 0) + (x << digit * (w + lift))
+    most = (isqrt(8 * sum(next(iter(acc), ())) + 1) - 1) // 2
+    return {nu: x for nu, x in acc.items() if x}, lift, bound * most
+
+
+def _decoded(n: int, col: Column) -> FockVector:
+    return FockVector._of(n, {lam: _unpack(x) for lam, x in col.items()})
+
+
+def _norm(p: LaurentPoly) -> int:
+    return sum(map(abs, p.terms.values()))
+
+
+def _checked(bound: int, what: str) -> None:
+    """Refuse a bound on coefficients' L1 norms at which a packed digit could wrap."""
+    digit = qseries._DIGIT
+    if bound >> (digit - 1):
+        raise ConventionError(f"{what}: coefficients could pass 2^{digit - 1}")
+
+
+def _bar_closure(x: int, off: int) -> tuple[int, int]:
+    """The packed bar-invariant polynomial congruent to x mod qZ[q], and its L1 norm.
+
+    x and the result have lift off; the closure reads x's low off + 1 digits, the
+    exponents -off..0, and mirrors the negative ones.
+    """
+    half = 1 << qseries._DIGIT * (off + 1) - 1
+    low = ((x + half) & (2 * half - 1)) - half
+    terms: dict[int, int] = {}
+    for p, c in _unpack(low).terms.items():
+        terms[p - off] = terms[off - p] = c
+    gamma = LaurentPoly._from_canonical(terms)
+    if not gamma.is_bar_invariant():
+        raise ConventionError("correction coefficient not bar-invariant")
+    return _pack(terms, off), _norm(gamma)
 
 
 @dataclass
@@ -100,11 +151,12 @@ def _check_n(n: int) -> None:
 @lru_cache(maxsize=None)
 def global_basis_vectors(n: int, m: int) -> dict[pt.Partition, FockVector]:
     """The basis vectors G(mu) for all n-regular mu of m."""
-    return _bases(n, m)[m]
+    return {mu: _decoded(n, col) for mu, (col, _) in _bases(n, m)[m].items()}
 
 
-def _bases(n: int, m: int) -> list[dict[pt.Partition, FockVector]]:
-    """G(mu) for the n-regular mu of each size 0..m, smallest size first.
+def _bases(n: int, m: int) -> list[dict[pt.Partition, tuple[Column, int]]]:
+    """G(mu) for the n-regular mu of each size 0..m, smallest size first, each as its
+    packed column (lift 0) and the largest L1 norm of its coefficients.
 
     The smaller sizes are this call's own, so its cost does not depend on
     earlier calls.  Ascending lex order within a size (a linear extension of
@@ -113,51 +165,82 @@ def _bases(n: int, m: int) -> list[dict[pt.Partition, FockVector]]:
     _check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
-    sizes: list[dict[pt.Partition, FockVector]] = []
+    digit = qseries._DIGIT
+    sizes: list[dict[pt.Partition, tuple[Column, int]]] = []
     for s in range(m + 1):
         regulars = sorted(pt.enumerate_partitions(s, regular=n), reverse=True)
-        done: dict[pt.Partition, FockVector] = {}
+        done: dict[pt.Partition, tuple[Column, int]] = {}
         sizes.append(done)
-        for mu in reversed(regulars):  # ascending lex = dominance-compatible
-            vec = FockVector.basis(n, ())  # G(()); every other mu starts from f_r^(k) G(mu_bar)
+        for j in range(len(regulars) - 1, -1, -1):  # ascending lex = dominance-compatible
+            mu = regulars[j]
+            col, off, bound = {(): 1}, 0, 1  # G(()); every other mu starts from f_r^(k) G(mu_bar)
             if mu:
                 res, k, bar = _top_ladder(mu, n)
-                vec = divided_f(res, k, sizes[s - k][bar])
-            if not _leading_ok(vec, mu):
+                col, bound = sizes[s - k][bar]
+                if k == 1:
+                    col, off, bound = _lowered(n, (res,), col, bound)
+                else:
+                    start = divided_f(res, k, _decoded(n, col)).terms
+                    off = max(0, -min((min(c.terms) for c in start.values()), default=0))
+                    col = {lam: _pack(c.terms, off) for lam, c in start.items()}
+                    bound = max(map(_norm, start.values()), default=0)
+            _checked(bound, f"column {mu}")
+            unit = 1 << digit * off
+            if col.get(mu) != unit or not all(map(pt.dominates, repeat(mu), col)):
                 raise ConventionError(f"start for {mu} has no unit dominance-triangular leading term")
-            for nu in regulars:
-                c = vec.terms.get(nu)
-                if c is None or nu == mu:
+            mask = (1 << digit * (off + 1)) - 1  # the digits of q^-off .. q^0
+            for nu in islice(regulars, j + 1, None):  # the start is dominated by mu: lex below it
+                x = col.get(nu)
+                if x is None or not x & mask:  # in qZ[q]: nothing to correct
                     continue
-                gamma = _bar_closure(c)
-                if gamma.is_zero():
-                    continue
+                gamma, norm = _bar_closure(x, off)
                 if nu not in done:
                     raise ConventionError(
                         f"triangularity breach: column {mu} needs uncomputed {nu}"
                     )
-                if not gamma.is_bar_invariant():
-                    raise ConventionError("correction coefficient not bar-invariant")
-                vec = vec.minus_scaled(done[nu], gamma)
-            for lam, c in vec.terms.items():
-                if lam != mu and not c.in_qZq():
+                target, target_norm = done[nu]
+                for lam, y in target.items():
+                    col[lam] = col.get(lam, 0) - gamma * y
+                bound += norm * target_norm
+                _checked(bound, f"column {mu}")
+            for lam, x in col.items():
+                if lam != mu and x & mask:
                     raise ConventionError(
-                        f"column {mu}: coefficient at {lam} not in qZ[q]: {c.to_text()}"
+                        f"column {mu}: coefficient at {lam} not in qZ[q]: "
+                        f"{_unpack(x).shifted(-off).to_text()}"
                     )
-            if vec.coeff(mu) != LaurentPoly.one():
+            if col.get(mu) != unit:
                 raise ConventionError(f"column {mu}: leading coefficient not 1")
-            terms = {_PARTS.setdefault(lam, lam): _COEFFS.setdefault(c, c)
-                     for lam, c in vec.terms.items()}
-            done[_PARTS.setdefault(mu, mu)] = FockVector._of(n, terms)
+            finished: Column = {}
+            bound = 0
+            for lam, x in col.items():
+                if x:
+                    x >>= digit * off
+                    shared = _PACKED.get(x)
+                    if shared is None:
+                        shared = _PACKED[x] = (x, _norm(_unpack(x)))
+                    finished[_PARTS.setdefault(lam, lam)] = shared[0]
+                    if shared[1] > bound:
+                        bound = shared[1]
+            done[_PARTS.setdefault(mu, mu)] = (finished, bound)
     return sizes
+
+
+def _from_columns(n: int, m: int, rows: list[pt.Partition], cols: list[pt.Partition],
+                  columns) -> DecompositionMatrix:
+    """The matrix with column j given as {row: coefficient}; every other cell is the one zero."""
+    index = {lam: r for r, lam in enumerate(rows)}
+    entries = [[_ZERO] * len(cols) for _ in rows]
+    for j, terms in enumerate(columns):
+        for lam, c in terms.items():
+            entries[index[lam]][j] = c
+    return DecompositionMatrix(n, m, rows, cols, entries)
 
 
 def global_lower_basis(n: int, m: int) -> DecompositionMatrix:
     vecs = global_basis_vectors(n, m)
-    rows = pt.enumerate_partitions(m)
     cols = pt.enumerate_partitions(m, regular=n)
-    entries = [[vecs[mu].coeff(lam) for mu in cols] for lam in rows]
-    return DecompositionMatrix(n, m, rows, cols, entries)
+    return _from_columns(n, m, pt.enumerate_partitions(m), cols, (vecs[mu].terms for mu in cols))
 
 
 @lru_cache(maxsize=None)
@@ -174,26 +257,29 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
     low, high = _bases(n, m)[-2:]
     rows = pt.enumerate_partitions(m, regular=n)
     cols = pt.enumerate_partitions(m - 1, regular=n)
-    coeffs: dict[tuple[pt.Partition, pt.Partition], LaurentPoly] = {}
+    columns = []
     for mu in cols:
-        vec = FockVector(n, {})
-        for i in {(p - r) % n for lam in low[mu].terms  # the addable nodes' residues
-                  for r, p in enumerate(lam + (0,)) if not r or lam[r - 1] > p}:
-            vec = vec + f_apply(i, low[mu])
+        col, bound = low[mu]
+        residues = {(p - r) % n for lam in col  # the addable nodes' residues
+                    for r, p in enumerate(lam + (0,)) if not r or lam[r - 1] > p}
+        vec, off, bound = _lowered(n, residues, col, bound)
+        coeffs = {}
         for lam in rows:  # descending lex order, as the elimination needs
-            c = vec.coeff(lam)
-            if c.is_zero():
+            x = vec.get(lam)
+            if not x:
                 continue
-            coeffs[(lam, mu)] = c
-            vec = vec.minus_scaled(high[lam], c)
-        if not vec.is_zero():
+            _checked(bound, f"restriction image of {mu}")
+            c = coeffs[lam] = _unpack(x).shifted(-off) if off else _unpack(x)
+            target, target_norm = high[lam]
+            for nu, y in target.items():
+                vec[nu] = vec.get(nu, 0) - x * y
+            bound += _norm(c) * target_norm
+        if any(vec.values()):
             raise ConventionError(
                 f"restriction image of {mu} does not lie in the basis span"
             )
-    entries = [
-        [coeffs.get((lam, mu), LaurentPoly.zero()) for mu in cols] for lam in rows
-    ]
-    return DecompositionMatrix(n, m, rows, cols, entries)
+        columns.append(coeffs)
+    return _from_columns(n, m, rows, cols, columns)
 
 
 def js_canonical(lam: pt.Partition, n: int) -> bool:

@@ -42,17 +42,22 @@ def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cel
     zero entry; JSON has the head fields plus "entries".  The library fills
     its matrices with the one zero ``_ZERO``, so one scan by identity finds a
     row's other entries, and the texts of those that are not zero either are
-    patched into a row of zero cells.  No cell text holds a comma, quote or
-    line break, so only the labels need CSV quoting.
+    patched into a row of zero cells.  Entries share few distinct objects, so
+    each object is rendered once per matrix.  No cell text holds a comma, quote
+    or line break, so only the labels need CSV quoting.
     """
     blank = [cell(_ZERO) if fmt == "json" else "."] * len(cols)
     show = cell if fmt == "json" else lambda e: str(cell(e))
+    texts: dict[int, object] = {}  # id of an entry -> its cell, None for a zero
 
     def patched(row) -> list:
         cells = blank.copy()
         for j in compress(range(len(row)), map(is_not, row, repeat(_ZERO))):
-            if not row[j].is_zero():
-                cells[j] = show(row[j])
+            e = row[j]
+            if id(e) not in texts:
+                texts[id(e)] = None if e.is_zero() else show(e)
+            if texts[id(e)] is not None:
+                cells[j] = texts[id(e)]
         return cells
 
     if fmt == "json":

@@ -8,10 +8,11 @@ right in lam; e_i by q^-count, counting strictly to the left in the smaller
 partition (validated by relation_check).
 
 Both read one sweep per partition, ``partitions._inodes``, which lists the
-i-nodes in column order: f_i walks it from the right and e_i from the left,
-keeping the running count.  Only for n = 1 can an addable and a removable
-i-node share a column, and only then does removing a node change the count
-to its left; each walk corrects for that in one line.  Each output
+i-nodes in column order: f_i walks it from the right (``_lowerings``, which
+the packed canonical columns read too) and e_i from the left, keeping the
+running count.  Only for n = 1 can an addable and a removable i-node share a
+column, and only then does removing a node change the count to its left;
+each walk corrects for that in one line.  Each output
 coefficient is summed as integer exponents and built once.
 
 A ``FockVector`` is the one combination type, ``qseries.Combination``,
@@ -58,20 +59,27 @@ class FockVector(Combination):
         return f"v[{pt.format_partition(lam)}]"
 
 
+def _lowerings(lam: pt.Partition, n: int, i: int) -> list[tuple[pt.Partition, int]]:
+    """f_i on the basis vector lam: (lam plus an addable i-node, exponent of q), right to left."""
+    out, count = [], 0
+    for r, col, s in reversed(pt._inodes(lam, n, i)):
+        if s > 0:
+            w = count
+            if n == 1 and r and lam[r - 1] == col:
+                w += 1  # n = 1: the counted removable end of row r-1 is in this column
+            out.append((pt._grown(lam, r), w))
+        count += s
+    return out
+
+
 def f_apply(i: int, u: FockVector) -> FockVector:
     """Lowering generator: add one i-node, weighted by the right count."""
     n = u.n
     den = _lattice(u)
     acc: dict[pt.Partition, dict[int, int]] = {}
     for lam, c in u.terms.items():
-        count = 0
-        for r, col, s in reversed(pt._inodes(lam, n, i)):
-            if s > 0:
-                w = count
-                if n == 1 and r and lam[r - 1] == col:
-                    w += 1  # n = 1: the counted removable end of row r-1 is in this column
-                _add_shifted(acc.setdefault(pt._grown(lam, r), {}), c, w * den, den)
-            count += s
+        for nu, w in _lowerings(lam, n, i):
+            _add_shifted(acc.setdefault(nu, {}), c, w * den, den)
     return FockVector._of(n, _built(acc, den))
 
 

@@ -312,27 +312,34 @@ def enumerate_partitions(m: int, regular: int | None = None) -> list[Partition]:
     if m < 0:
         raise ValueError("m must be >= 0")
     out: list[Partition] = []
-
-    def rec(remaining: int, cap: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            if regular is not None:
-                run = 1
-                for q in reversed(acc):
-                    if q == p:
-                        run += 1
-                    else:
-                        break
-                if run >= regular:
-                    continue
-            acc.append(p)
-            rec(remaining - p, p, acc)
-            acc.pop()
-
-    rec(m, m, [])
+    _extend_partitions(out, m, m, [], regular)
     return out
+
+
+def _extend_partitions(out: list[Partition], remaining: int, cap: int, acc: list[int],
+                       regular: int | None) -> None:
+    """Append acc plus each partition of remaining into parts <= cap, descending.
+
+    A module-level function rather than a closure that calls itself, so the
+    list it fills is freed as soon as the caller drops it, not at the next
+    cyclic garbage collection.
+    """
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    for p in range(min(cap, remaining), 0, -1):
+        if regular is not None:
+            run = 1
+            for q in reversed(acc):
+                if q == p:
+                    run += 1
+                else:
+                    break
+            if run >= regular:
+                continue
+        acc.append(p)
+        _extend_partitions(out, remaining - p, p, acc, regular)
+        acc.pop()
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:

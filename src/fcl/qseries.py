@@ -320,6 +320,12 @@ def _unpack(x: int) -> LaurentPoly:
     return p
 
 
+def _pack(terms: dict[int, int], off: int) -> int:
+    """sum c_e v^e packed as sum c_e 2^(_DIGIT (e + off)), every e >= -off: the lift off makes
+    each negative exponent a left shift, and off = 0 is the inverse of _unpack."""
+    return sum(c << _DIGIT * (e + off) for e, c in terms.items())
+
+
 class Combination:
     """A finite combination of basis keys with nonzero LaurentPoly coefficients.
 

@@ -15,11 +15,13 @@ division, q-products as repeated ``TruncatedSeries`` products, the node
 model of addable and removable ``Node``s with the classical (q = 1) node
 operators, the signature reduced by deleting RA pairs and rescanning (and
 e~_i, which removes its good removable node), the crystal graph grown by
-breadth-first f~_i steps, and the lower global basis corrected from ladder
-monomials built from the empty partition.  The arithmetic of Fock and Specht
-vectors is checked key by key with ``LaurentPoly`` operations,
-polynomial text is built from ``Fraction`` exponents, and a labelled matrix
-is written cell by cell through one ``csv.writer``.
+breadth-first f~_i steps, the lower global basis corrected from ladder
+monomials built from the empty partition, and restriction coefficients read
+off (sum_i f_i) G(mu) by eliminating G(lambda) with ``FockVector``
+arithmetic.  The arithmetic of Fock and Specht vectors is checked key by key
+with ``LaurentPoly`` operations, polynomial text is built from ``Fraction``
+exponents, and a labelled matrix is written cell by cell through one
+``csv.writer``.
 """
 
 import csv
@@ -30,9 +32,9 @@ from itertools import combinations
 from typing import NamedTuple
 
 from fcl import specht
-from fcl.canonical import ladders
+from fcl.canonical import global_basis_vectors, ladders
 from fcl.crystal import eps_phi
-from fcl.fock import FockVector, divided_f
+from fcl.fock import FockVector, divided_f, f_apply
 from fcl.partitions import (
     Partition, check_partition, conjugate, dominates, enumerate_partitions,
     multiplicities, residue_counts, weight_target_profile,
@@ -642,3 +644,23 @@ def global_basis_from_monomials(n: int, m: int) -> dict[Partition, FockVector]:
         assert all(lam == mu or c.in_qZq() for lam, c in vec.terms.items()), mu
         done[mu] = vec
     return done
+
+
+def restriction_coeffs(n: int, m: int) -> list[list[LaurentPoly]]:
+    """c_(lambda,mu)(q) as dense rows over the n-regular lambda of m, columns over the
+    n-regular mu of m - 1: (sum_i f_i) G(mu) = sum_lambda c_(lambda,mu) G(lambda), the G(lambda)
+    eliminated in descending lex order."""
+    low, high = global_basis_vectors(n, m - 1), global_basis_vectors(n, m)
+    rows = enumerate_partitions(m, regular=n)
+    cols = enumerate_partitions(m - 1, regular=n)
+    entries = [[LaurentPoly.zero()] * len(cols) for _ in rows]
+    for j, mu in enumerate(cols):
+        vec = FockVector(n, {})
+        for i in range(n):
+            vec = vec + f_apply(i, low[mu])
+        for r, lam in enumerate(rows):
+            c = entries[r][j] = vec.coeff(lam)
+            if not c.is_zero():
+                vec = vec - high[lam].scaled(c)
+        assert vec.is_zero(), mu
+    return entries

@@ -46,14 +46,17 @@ def test_node_model_is_private_to_partitions():
 def test_one_combination_type_and_one_accumulator():
     # Fock and Specht vectors take their arithmetic, equality and text from
     # qseries.Combination, and sum coefficients with qseries' accumulator
-    from fcl import branching, fock, qseries, specht
+    from fcl import branching, canonical, fock, qseries, specht
 
     for cls in (fock.FockVector, specht.SpechtVector):
         assert issubclass(cls, qseries.Combination), cls.__name__
         for name in ("__add__", "__sub__", "scaled", "minus_scaled", "__eq__", "to_text"):
             assert name not in vars(cls), f"{cls.__name__}.{name}"
-    for mod in (fock, specht, branching):
-        for name in ("_pruned", "_built", "_lattice", "_add_shifted", "_build", "_unpack"):
+    for mod in (fock, specht, branching, canonical):
+        for name in ("_pruned", "_built", "_lattice", "_add_shifted", "_build", "_unpack",
+                     "_pack"):
             assert getattr(mod, name, None) in (None, getattr(qseries, name, None)), name
-    # packed straightening coefficients are read back by qseries' one decoder
+    # packed straightening and canonical coefficients are read back by qseries' one
+    # decoder, and canonical packs through its one encoder
     assert specht._unpack is qseries._unpack
+    assert canonical._unpack is qseries._unpack and canonical._pack is qseries._pack

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fcl import canonical
+from fcl import canonical, qseries
 from fcl.canonical import (
     global_basis_vectors,
     global_lower_basis,
@@ -15,7 +15,7 @@ from fcl.canonical import (
 from fcl.cli import dispatch
 from fcl.crystal import eps_phi
 from fcl.errors import ConventionError
-from fcl.fock import FockVector
+from fcl.fock import FockVector, f_apply
 from fcl.partitions import enumerate_partitions, is_n_regular, n_core
 from fcl.qseries import LaurentPoly, q_int
 
@@ -82,10 +82,15 @@ def test_top_ladder_node_off_a_row_end_is_a_convention_error(monkeypatch):
 
 
 def test_monomial_without_unit_leading_term_is_a_convention_error(monkeypatch, capsys):
-    # a divided power off by a factor q leaves the leading coefficient q, not 1;
-    # the first column built from a divided power is (1,)
-    exact = canonical.divided_f
-    monkeypatch.setattr(canonical, "divided_f", lambda i, k, v: exact(i, k, v).scaled(Q(1)))
+    # a packed lowering off by a factor q leaves the leading coefficient q, not 1;
+    # the first column built by a lowering is (1,)
+    exact = canonical._lowered
+
+    def times_q(*args):
+        col, off, bound = exact(*args)
+        return {lam: x << qseries._DIGIT for lam, x in col.items()}, off, bound
+
+    monkeypatch.setattr(canonical, "_lowered", times_q)
     global_basis_vectors.cache_clear()
     with pytest.raises(ConventionError, match="no unit dominance-triangular leading term"):
         global_basis_vectors(2, 3)
@@ -227,3 +232,47 @@ def test_js_canonical_goldens():
     assert not js_canonical((2, 1), 2)
     with pytest.raises(ValueError):
         js_canonical((3, 1, 1), 2)  # not 2-regular: rejected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_packed_lowering_is_f_apply(n):
+    # every basis vector of size <= 10, lowered by every residue
+    for m in range(11):
+        for mu, (col, bound) in canonical._bases(n, m)[m].items():
+            vec = global_basis_vectors(n, m)[mu]
+            for i in range(n):
+                got, off, got_bound = canonical._lowered(n, (i,), col, bound)
+                want = f_apply(i, vec)
+                assert canonical._decoded(n, got).map_coeffs(lambda c: c.shifted(-off)) == want
+                assert all(sum(map(abs, c.terms.values())) <= got_bound
+                           for c in want.terms.values()), (mu, i)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_restriction_is_the_oracle(n):
+    for m in range(1, 11):
+        assert restriction_coeffs(n, m).entries == oracles.restriction_coeffs(n, m), (n, m)
+
+
+@pytest.fixture
+def narrow_digits(monkeypatch):
+    """Pack on 4-bit digits, so a coefficient must stay within +-7, with fresh
+    caches; every cache is put back afterwards."""
+    monkeypatch.setattr(qseries, "_DIGIT", 4)
+    monkeypatch.setattr(qseries, "_UNPACKED", {})
+    monkeypatch.setattr(canonical, "_PACKED", {})
+    global_basis_vectors.cache_clear()
+    yield
+    global_basis_vectors.cache_clear()
+
+
+def test_packed_digits_are_refused_before_they_could_wrap(narrow_digits, capsys):
+    # up to (2, 8) every carried bound stays below the narrowed limit 2^3 and
+    # the columns stay exact; at (2, 9) the column (7, 2) carries a bound of 8
+    for m in range(9):
+        assert global_basis_vectors(2, m) == oracles.global_basis_from_monomials(2, m), m
+    with pytest.raises(ConventionError, match=r"column \(7, 2\): coefficients could pass 2\^3"):
+        global_basis_vectors(2, 9)
+    assert dispatch(["canonical-basis", "--n", "2", "--m", "9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal convention violation: column (7, 2)")
