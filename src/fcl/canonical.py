@@ -1,26 +1,27 @@
 """Lower global basis of the basic representation inside the q-Fock space.
 
 Each n-regular mu starts from A(mu) = f_r^(k) G(mu_bar), mu_bar being mu
-without its highest ladder (k nodes of residue r); Gaussian correction
-against the finished basis vectors removes the bar-noninvariant part of every
-other coefficient, leaving the canonical column d_(lambda,mu)(q).  Evaluating
-at q=1 gives the decomposition matrix of the type-A Hecke algebra at an n-th
-root of unity; pushing the lowering operators through the basis gives
-restriction multiplicities.
+without its highest ladder (k nodes of residue r), in one packed lowering
+whatever k is; Gaussian correction against the finished basis vectors
+removes the bar-noninvariant part of every other coefficient, leaving the
+canonical column d_(lambda,mu)(q).  Evaluating at q=1 gives the
+decomposition matrix of the type-A Hecke algebra at an n-th root of unity;
+pushing the lowering operators through the basis gives restriction
+multiplicities.
 
 A column is {partition: int}, each coefficient sum c_e q^e packed as
 sum c_e 2^(64 (e + off)) with one lift off per column, so that every exponent
 e >= -off and every q^w is a left shift; ``qseries._pack`` and ``_unpack``
 write and read the digits.  The bar closure, the qZ[q] test and the unit
 leading term read the low off + 1 digits, the exponents -off..0.  Each column
-carries a bound on the L1 norm of every coefficient: a lowering multiplies it
-by the most removable nodes a partition of the new size can have, a
-correction by gamma G(nu) adds |gamma|_1 times G(nu)'s bound, and a finished
-column resets it to its largest exact norm.  A bound of 2^63, where a digit
-could wrap into the next, is refused before any digit is read, so every digit
-unpacks exactly.  Finished columns have lift 0 and share one tuple per
-partition and one int per coefficient; only the size asked for is unpacked,
-into LaurentPoly objects shared through ``_unpack``.
+carries a bound on the L1 norm of every coefficient: a lowering by f_r^(k)
+multiplies it by C(most, k), most being the most removable nodes a partition
+of the new size can have, a correction by gamma G(nu) adds |gamma|_1 times
+G(nu)'s bound, and a finished column resets it to its largest exact norm.  A
+bound of 2^63, where a digit could wrap into the next, is refused before any
+digit is read, so every digit unpacks exactly.  Finished columns have lift 0
+and share one tuple per partition and one int per coefficient; only the size
+asked for is unpacked, into LaurentPoly objects shared through ``_unpack``.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
-from math import isqrt
+from math import comb, isqrt
 
 from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
-from .fock import FockVector, _lowerings, divided_f
+from .fock import FockVector, _lowerings
 from .qseries import _ZERO, LaurentPoly, _pack, _unpack
 
 __all__ = [
@@ -77,24 +78,25 @@ _PACKED: dict[int, tuple[int, int]] = {}
 Column = dict[pt.Partition, int]  # partition -> packed coefficient
 
 
-def _lowered(n: int, residues: tuple[int, ...] | set[int], col: Column, bound: int
+def _lowered(n: int, residues: tuple[int, ...] | set[int], col: Column, bound: int, k: int
              ) -> tuple[Column, int, int]:
-    """The sum of f_i over the residues on a finished packed column (lift 0) with coefficient
-    bound: (image, lift, bound).
+    """The sum of f_i^(k) over the residues on a finished packed column (lift 0) with
+    coefficient bound: (image, lift, bound).
 
     Every q^w of ``fock._lowerings`` is a left shift by w plus the lift, which is the most
-    negative w.  A partition nu of size s is reached from at most k partitions, one per
-    removable node, where k(k+1)/2 <= s; so k times the bound bounds the image.
+    negative w.  A partition nu of size s has r removable nodes, r(r+1)/2 <= s, so r is at
+    most the largest such r, ``most``; nu is reached from at most C(r, k) partitions, one per
+    k-set of its removable nodes, so C(most, k) times the bound bounds the image.
     """
     digit = qseries._DIGIT
-    found = [(x, _lowerings(lam, n, i)) for lam, x in col.items() for i in residues]
+    found = [(x, _lowerings(lam, n, i, k)) for lam, x in col.items() for i in residues]
     lift = max(0, -min((w for _, steps in found for _, w in steps), default=0))
     acc: Column = {}
     for x, steps in found:
         for nu, w in steps:
             acc[nu] = acc.get(nu, 0) + (x << digit * (w + lift))
     most = (isqrt(8 * sum(next(iter(acc), ())) + 1) - 1) // 2
-    return {nu: x for nu, x in acc.items() if x}, lift, bound * most
+    return {nu: x for nu, x in acc.items() if x}, lift, bound * comb(most, k)
 
 
 def _decoded(n: int, col: Column) -> FockVector:
@@ -176,14 +178,7 @@ def _bases(n: int, m: int) -> list[dict[pt.Partition, tuple[Column, int]]]:
             col, off, bound = {(): 1}, 0, 1  # G(()); every other mu starts from f_r^(k) G(mu_bar)
             if mu:
                 res, k, bar = _top_ladder(mu, n)
-                col, bound = sizes[s - k][bar]
-                if k == 1:
-                    col, off, bound = _lowered(n, (res,), col, bound)
-                else:
-                    start = divided_f(res, k, _decoded(n, col)).terms
-                    off = max(0, -min((min(c.terms) for c in start.values()), default=0))
-                    col = {lam: _pack(c.terms, off) for lam, c in start.items()}
-                    bound = max(map(_norm, start.values()), default=0)
+                col, off, bound = _lowered(n, (res,), *sizes[s - k][bar], k)
             _checked(bound, f"column {mu}")
             unit = 1 << digit * off
             if col.get(mu) != unit or not all(map(pt.dominates, repeat(mu), col)):
@@ -262,7 +257,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
         col, bound = low[mu]
         residues = {(p - r) % n for lam in col  # the addable nodes' residues
                     for r, p in enumerate(lam + (0,)) if not r or lam[r - 1] > p}
-        vec, off, bound = _lowered(n, residues, col, bound)
+        vec, off, bound = _lowered(n, residues, col, bound, 1)
         coeffs = {}
         for lam in rows:  # descending lex order, as the elimination needs
             x = vec.get(lam)

@@ -22,7 +22,7 @@ from operator import is_not
 
 from . import branching, canonical, crystal, fock, paths, specht
 from . import partitions as pt
-from .errors import ConventionError, ExactDivisionError, ResourceBoundError
+from .errors import ConventionError, ResourceBoundError
 from .qseries import _ZERO, LaurentPoly, TruncatedSeries, inv_phi
 
 __all__ = ["main", "dispatch", "BUDGET"]
@@ -484,7 +484,7 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConventionError, ExactDivisionError, AssertionError) as exc:
+    except (ConventionError, AssertionError) as exc:
         print(f"internal convention violation: {exc}", file=sys.stderr)
         return 3
     except ResourceBoundError as exc:

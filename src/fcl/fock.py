@@ -15,6 +15,15 @@ column, and only then does removing a node change the count to its left;
 each walk corrects for that in one line.  Each output
 coefficient is summed as integer exponents and built once.
 
+The divided power f_i^(k) = f_i^k / [k]! adds k i-nodes in one step, by the
+formula of Lascoux, Leclerc and Thibon (Commun. Math. Phys. 181 (1996)):
+f_i^(k) v[lam] sums q^(sum of w(g) over S - k(k-1)/2) v[lam + S] over the
+k-sets S of addable i-nodes g, w(g) being g's right count in lam.  (For
+n >= 2 an added i-node turns from addable to removable and changes no other
+i-node, so the k! orders of adding S sum to q^(sum of w) q^(-k(k-1)/2) [k]!.)
+For n = 1 this fails and [k]! need not divide f_0^k: f_0^2 v[()] is
+v[2] + q v[1,1].  So divided powers with k >= 2 need n >= 2.
+
 A ``FockVector`` is the one combination type, ``qseries.Combination``,
 labelled by n; its arithmetic, ``minus_scaled`` included, lives there.
 """
@@ -22,11 +31,11 @@ labelled by n; its arithmetic, ``minus_scaled`` included, lives there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import partitions as pt
-from .errors import ExactDivisionError
 from .qseries import (Combination, LaurentPoly, _add_shifted, _built, _lattice, gauss_balanced,
-                      q_fact, q_int)
+                      q_int)
 
 __all__ = [
     "FockVector",
@@ -59,28 +68,30 @@ class FockVector(Combination):
         return f"v[{pt.format_partition(lam)}]"
 
 
-def _lowerings(lam: pt.Partition, n: int, i: int) -> list[tuple[pt.Partition, int]]:
-    """f_i on the basis vector lam: (lam plus an addable i-node, exponent of q), right to left."""
-    out, count = [], 0
+def _lowerings(lam: pt.Partition, n: int, i: int, k: int) -> list[tuple[pt.Partition, int]]:
+    """f_i^(k) on the basis vector lam: (lam plus a k-set of addable i-nodes, exponent of q),
+    each set grown row by row in ascending order; the exponent is the set's sum of right
+    counts less k(k-1)/2 (module docstring)."""
+    adds, count = [], 0  # (row, right count) of each addable i-node, ascending rows
     for r, col, s in reversed(pt._inodes(lam, n, i)):
         if s > 0:
             w = count
             if n == 1 and r and lam[r - 1] == col:
                 w += 1  # n = 1: the counted removable end of row r-1 is in this column
-            out.append((pt._grown(lam, r), w))
+            adds.append((r, w))
         count += s
+    out, least = [], -k * (k - 1) // 2
+    for nodes in combinations(adds, k):
+        nu, e = lam, least
+        for r, w in nodes:
+            nu, e = pt._grown(nu, r), e + w
+        out.append((nu, e))
     return out
 
 
 def f_apply(i: int, u: FockVector) -> FockVector:
     """Lowering generator: add one i-node, weighted by the right count."""
-    n = u.n
-    den = _lattice(u)
-    acc: dict[pt.Partition, dict[int, int]] = {}
-    for lam, c in u.terms.items():
-        for nu, w in _lowerings(lam, n, i):
-            _add_shifted(acc.setdefault(nu, {}), c, w * den, den)
-    return FockVector._of(n, _built(acc, den))
+    return divided_f(i, 1, u)
 
 
 def e_apply(i: int, u: FockVector) -> FockVector:
@@ -112,19 +123,19 @@ def diag_apply(kind: str, lam: pt.Partition, n: int, i: int = 0) -> LaurentPoly:
 
 
 def divided_f(i: int, k: int, u: FockVector) -> FockVector:
-    """Divided power f_i^(k): apply f_i k times, then divide by [k]!."""
+    """Divided power f_i^(k): add k i-nodes in one step (module docstring)."""
+    n = u.n
     if k < 1:
         raise ValueError("k must be >= 1")
-    v = u
-    for _ in range(k):
-        v = f_apply(i, v)
-    if k == 1:  # [1]! = 1
-        return v
-    fact = q_fact(k)
-    try:
-        return v.map_coeffs(lambda c: c.exact_div(fact))
-    except ExactDivisionError as exc:  # pragma: no cover - indicates a rule bug
-        raise ExactDivisionError(f"divided power not exact at k={k}: {exc}") from exc
+    if k > 1 and n < 2:
+        raise ValueError(f"divided powers need n >= 2 for k >= 2: [{k}]! does not divide f_0^{k}"
+                         " at n = 1")
+    den = _lattice(u)
+    acc: dict[pt.Partition, dict[int, int]] = {}
+    for lam, c in u.terms.items():
+        for nu, w in _lowerings(lam, n, i, k):
+            _add_shifted(acc.setdefault(nu, {}), c, w * den, den)
+    return FockVector._of(n, _built(acc, den))
 
 
 @dataclass

@@ -22,7 +22,6 @@ __all__ = [
     "TruncatedSeries",
     "bar",
     "q_int",
-    "q_fact",
     "gauss_balanced",
     "qbinom_lower",
     "q_product",
@@ -364,9 +363,6 @@ class Combination:
     def scaled(self, c: LaurentPoly):
         return type(self)(self.label, {k: v * c for k, v in self.terms.items()})
 
-    def map_coeffs(self, f):
-        return type(self)(self.label, {k: f(v) for k, v in self.terms.items()})
-
     def minus_scaled(self, other: "Combination", c: LaurentPoly):
         """self - c * other, in one pass.
 
@@ -431,15 +427,6 @@ def q_int(k: int) -> LaurentPoly:
     if k < 0:
         raise ValueError("q_int requires k >= 0")
     return LaurentPoly({e: 1 for e in range(-(k - 1), k, 2)})
-
-
-@lru_cache(maxsize=None)
-def q_fact(k: int) -> LaurentPoly:
-    if k < 0:
-        raise ValueError("q_fact requires k >= 0")
-    if k == 0:
-        return _ONE
-    return q_fact(k - 1) * q_int(k)
 
 
 @lru_cache(maxsize=None)

@@ -10,15 +10,16 @@ the n-core obtained by removing them one at a time, residue counts row by
 row, branching counts that list the edge-sum partitions and classify them
 one by one, the edge-sum test as a congruence on each pair of adjacent
 blocks, dominance by prefix sums over both partitions padded with zeros,
-Gaussian binomials as quotients of q-factorials by long
-division, q-products as repeated ``TruncatedSeries`` products, the node
-model of addable and removable ``Node``s with the classical (q = 1) node
-operators, the signature reduced by deleting RA pairs and rescanning (and
-e~_i, which removes its good removable node), the crystal graph grown by
-breadth-first f~_i steps, the lower global basis corrected from ladder
-monomials built from the empty partition, and restriction coefficients read
-off (sum_i f_i) G(mu) by eliminating G(lambda) with ``FockVector``
-arithmetic.  The arithmetic of Fock and Specht vectors is checked key by key
+Gaussian binomials as quotients of q-factorials by long division, divided
+powers f_i^(k) as f_i applied k times and divided by [k]!, q-products as
+repeated ``TruncatedSeries`` products, the node model of addable and
+removable ``Node``s with the classical (q = 1) node operators, the
+signature reduced by deleting RA pairs and rescanning (and e~_i, which
+removes its good removable node), the crystal graph grown by breadth-first
+f~_i steps, the lower global basis corrected from ladder monomials built
+from the empty partition by those divided powers, and restriction
+coefficients read off (sum_i f_i) G(mu) by eliminating G(lambda) with
+``FockVector`` arithmetic.  The arithmetic of Fock and Specht vectors is checked key by key
 with ``LaurentPoly`` operations, polynomial text is built from ``Fraction``
 exponents, and a labelled matrix is written cell by cell through one
 ``csv.writer``.
@@ -34,13 +35,13 @@ from typing import NamedTuple
 from fcl import specht
 from fcl.canonical import global_basis_vectors, ladders
 from fcl.crystal import eps_phi
-from fcl.fock import FockVector, divided_f, f_apply
+from fcl.fock import FockVector, f_apply
 from fcl.partitions import (
     Partition, check_partition, conjugate, dominates, enumerate_partitions,
     multiplicities, residue_counts, weight_target_profile,
 )
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
-from fcl.qseries import LaurentPoly, TruncatedSeries, q_fact
+from fcl.qseries import LaurentPoly, TruncatedSeries, q_int
 
 Matrix = list[list[LaurentPoly]]
 Tableau = specht.Tableau
@@ -420,6 +421,14 @@ def pochhammer(k: int) -> LaurentPoly:
     return out
 
 
+def q_fact(k: int) -> LaurentPoly:
+    """[k]! = [1][2]...[k] over balanced q-integers."""
+    out = LaurentPoly.one()
+    for j in range(1, k + 1):
+        out = out * q_int(j)
+    return out
+
+
 def qbinom_lower_divided(m: int, k: int) -> LaurentPoly:
     """(q)_m / (q)_(m-k) / (q)_k by two exact divisions; 0 outside 0 <= k <= m."""
     if k < 0 or m < 0 or k > m:
@@ -608,6 +617,13 @@ def crystal_graph_bfs(n: int, max_m: int, component_of_empty: bool = True):
                     grown.append(mu)
         frontier = grown
     return nodes, edges
+
+
+def divided_f(i: int, k: int, u: FockVector) -> FockVector:
+    """f_i^(k): f_i applied k times, then every coefficient divided by [k]! by long division."""
+    for _ in range(k):
+        u = f_apply(i, u)
+    return FockVector(u.n, {lam: c.exact_div(q_fact(k)) for lam, c in u.terms.items()})
 
 
 def monomial_A(mu: Partition, n: int) -> FockVector:

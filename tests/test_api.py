@@ -20,14 +20,16 @@ def test_every_public_name_resolves(module):
 
 
 def test_every_public_name_is_reached():
-    # each name in an __all__ is used, outside its own definition and __all__
-    # entry, by the package, a demo, the benchmark or an acceptance test
+    # each name in an __all__ is used, outside its own definition (its whole
+    # indented body, so a recursive call is no use) and __all__ entry, by the
+    # package, a demo, the benchmark or an acceptance test
     text = "\n".join(re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
                      for path in REACHERS)
     unreached = []
     for module in fcl.__all__:
         for name in getattr(importlib.import_module(f"fcl.{module}"), "__all__", ()):
-            uses = re.sub(rf"^\s*(def|class) {name}\b.*$|^{name} = .*$", "", text, flags=re.M)
+            definition = rf"^([ \t]*)(def|class) {name}\b.*\n(?:(?:\1[ \t]+.*)?\n)*|^{name} = .*$"
+            uses = re.sub(definition, "", text, flags=re.M)
             if not re.search(rf"\b{name}\b", uses):
                 unreached.append(f"{module}.{name}")
     assert not unreached, f"reached by nothing: {', '.join(unreached)}"

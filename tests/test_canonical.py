@@ -236,16 +236,19 @@ def test_js_canonical_goldens():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_packed_lowering_is_f_apply(n):
-    # every basis vector of size <= 10, lowered by every residue
+    # every basis vector of size <= 10, lowered by every residue: f_i against f_apply,
+    # f_i^(2) and f_i^(3) against the k-fold oracle, each within the carried bound
     for m in range(11):
         for mu, (col, bound) in canonical._bases(n, m)[m].items():
             vec = global_basis_vectors(n, m)[mu]
             for i in range(n):
-                got, off, got_bound = canonical._lowered(n, (i,), col, bound)
-                want = f_apply(i, vec)
-                assert canonical._decoded(n, got).map_coeffs(lambda c: c.shifted(-off)) == want
-                assert all(sum(map(abs, c.terms.values())) <= got_bound
-                           for c in want.terms.values()), (mu, i)
+                for k in (1, 2, 3):
+                    got, off, got_bound = canonical._lowered(n, (i,), col, bound, k)
+                    want = f_apply(i, vec) if k == 1 else oracles.divided_f(i, k, vec)
+                    assert FockVector(n, {lam: c.shifted(-off) for lam, c in
+                                          canonical._decoded(n, got).terms.items()}) == want
+                    assert all(sum(map(abs, c.terms.values())) <= got_bound
+                               for c in want.terms.values()), (mu, i, k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -22,7 +22,8 @@ from fcl.fock import (
     relation_check,
 )
 from fcl.partitions import enumerate_partitions, residue_data
-from fcl.qseries import LaurentPoly
+from fcl.errors import ExactDivisionError
+from fcl.qseries import LaurentPoly, gauss_balanced
 from oracles import classical_apply
 
 Q = LaurentPoly.q_power
@@ -275,6 +276,54 @@ def test_divided_powers():
     got = divided_f(1, 2, f_apply(0, v0))
     assert got == FockVector.basis(2, (2, 1))
     assert divided_f(0, 2, FockVector.basis(3, ())).is_zero()
+
+
+def test_one_step_divided_power_is_the_oracle():
+    # f_i^(k) in one step against f_i applied k times and divided by [k]!: every
+    # v[lam] of size <= 10, n = 1..5 (k = 1 only at n = 1), every i, k = 1..4
+    cases = 0
+    for n in range(1, 6):
+        for m in range(11):
+            for lam in enumerate_partitions(m):
+                v = FockVector.basis(n, lam)
+                for i in range(n):
+                    for k in range(1, 5 if n > 1 else 2):
+                        assert divided_f(i, k, v) == oracles.divided_f(i, k, v), (n, lam, i, k)
+                        cases += 1
+    assert cases == 7923
+    # half-integer exponents: the accumulator works on the vector's lattice
+    u = FockVector(2, {(2, 1): LaurentPoly({1: 1, -3: 2}, 2), (1,): LaurentPoly({2: -1}),
+                       (): LaurentPoly({-1: 3}, 2)})
+    for i in range(2):
+        for k in (1, 2, 3):
+            assert divided_f(i, k, u) == oracles.divided_f(i, k, u), (i, k)
+    assert divided_f(0, 3, u) == FockVector(2, {(3, 2, 1): LaurentPoly({1: 1, -3: 2}, 2)})
+
+
+def test_divided_powers_need_n_at_least_2():
+    # f_0^2 v[()] = v[2] + q v[1,1] at n = 1, and [2] = q^-1 + q does not divide it
+    v = FockVector.basis(1, ())
+    assert f_apply(0, f_apply(0, v)) == FockVector(1, {(2,): LaurentPoly.one(), (1, 1): Q(1)})
+    for m in range(11):
+        for lam in enumerate_partitions(m):
+            v = FockVector.basis(1, lam)
+            assert divided_f(0, 1, v) == f_apply(0, v)
+            for k in (2, 3, 4):
+                with pytest.raises(ValueError, match=r"divided powers need n >= 2"):
+                    divided_f(0, k, v)
+                with pytest.raises(ExactDivisionError):
+                    oracles.divided_f(0, k, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 7), st.integers(1, 3), st.integers(1, 2), st.data())
+def test_divided_powers_compose(n, m, a, b, data):
+    # f_i^(a) f_i^(b) = [a+b choose a] f_i^(a+b)
+    lam = data.draw(st.sampled_from(enumerate_partitions(m)))
+    i = data.draw(st.integers(0, n - 1))
+    v = FockVector.basis(n, lam)
+    assert divided_f(i, a, divided_f(i, b, v)) == divided_f(i, a + b, v).scaled(
+        gauss_balanced(a + b, a))
 
 
 def test_classical_action():

@@ -15,7 +15,6 @@ from fcl.qseries import (
     gauss_balanced,
     inv_phi,
     phi,
-    q_fact,
     q_int,
     q_product,
     qbinom_lower,
@@ -26,6 +25,7 @@ from oracles import (
     geometric_product,
     laurent_text,
     partition_counts,
+    q_fact,
     qbinom_lower_divided,
 )
 
@@ -202,6 +202,7 @@ def test_text_reduces_each_exponent():
 
 
 def test_q_fact_degrees():
+    # the oracle's q-factorial, the divisor of its divided powers
     assert q_fact(0) == one
     assert q_fact(3) == q_int(1) * q_int(2) * q_int(3)
 
