@@ -3,10 +3,18 @@ characters, height-model closed forms, and irreducible-restriction series
 through the rectangular-core identity.
 
 Rational exponents are exact.  The constant-sign sums carry n times their
-exponents as integers, on the lattice G = n C^-1, and walk the simplices
-their bounds prove sufficient.  They are normalized by a fixed rule (see
-``fermionic_poly``) and never consult the path enumeration; the tests
-compare the two.
+exponents as integers, on G = n C^-1, read entry by entry from its closed form
+(``partitions._gram``), and walk the simplices their bounds prove sufficient
+with nothing of length n.  An m-vector is a sorted multiset of the indices
+1..n-1 from ``combinations_with_replacement``; the residue t + sum(i m_i) = 0
+mod n fixes its largest index, so only the others are chosen.  The finite
+sums never build l = C^-1 (base - 2m): G_ik = -ik mod n makes (n l)_i = -iX
+mod n with X = sum(k base_k) - 2 sum(i m_i) = -2t + 2t = 0 mod n, so l is
+integral; each column G e_k is linear on [0, k] and on [k, n], so l >= 0 iff
+it is at 1, at n - 1 and at the supports of base and m; and the q-binomials
+read l only where m_i > 0.  The sums are normalized by a fixed rule (see
+``fermionic_poly``) and never consult the path enumeration; the tests compare
+the two, and the sums over dense vectors in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, groupby
 from math import isqrt
 
 from . import partitions as pt
@@ -40,67 +49,58 @@ class FermionicBranching:
     shift: Fraction
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    """e_i as an (n-1)-vector; e_0 = e_n = 0."""
-    return tuple(int(k == i) for k in range(1, n))
+def _multisets(n: int, t: int, top: int):
+    """The m-vectors with sum(m) <= top and t + sum(i m_i) = 0 mod n, as sorted
+    multisets of the indices 1..n-1, each given by its distinct indices i and
+    their counts m_i.  The residue fixes the largest index, so only the others
+    are chosen."""
+    if t % n == 0:
+        yield []
+    for k in range(top):  # no pool of n - 1 indices for the one empty rest
+        for rest in combinations_with_replacement(range(1, n), k) if k else [()]:
+            a = -(t + sum(rest)) % n
+            if (rest[-1] if rest else 1) <= a:
+                yield [(i, len(list(g))) for i, g in groupby((*rest, a))]
 
 
-def _apply(G: tuple[tuple[int, ...], ...], v) -> tuple[int, ...]:
-    return tuple(sum(g * x for g, x in zip(row, v)) for row in G)
+def _n_l(n: int, w: dict[int, int], i: int) -> int:
+    """(G w)_i = n l_i for the sparse vector w = C l."""
+    return sum(x * pt._gram(n, i, k) for k, x in w.items())
 
 
-@lru_cache(maxsize=None)
-def _gram_column(n: int, k: int) -> tuple[int, ...]:
-    """G e_k for G = n C^-1, with e_0 = e_n = 0."""
-    return tuple(row[k - 1] if 0 < k < n else 0 for row in pt._cartan_gram(n))
-
-
-def _m_vectors(n: int, t: int, total: int):
-    """Nonnegative (n-1)-vectors m with sum(m) <= total and
-    t + sum(i*m_i) = 0 mod n."""
-
-    def walk(i: int, left: int, res: int):
-        if i == n:
-            if res % n == 0:
-                yield ()
-            return
-        for mi in range(left + 1):
-            for rest in walk(i + 1, left - mi, res + i * mi):
-                yield (mi, *rest)
-
-    return walk(1, total, t)
-
-
-def _n_exponent(G: tuple[tuple[int, ...], ...], m: tuple[int, ...], g_st: tuple[int, ...],
-                s: int, t: int) -> int:
-    """n times the exponent m C^-1 m - m C^-1 e_(s-t+n) + st/n, for
-    G = n C^-1 and g_st = G e_(s-t+n)."""
-    return sum(mi * (gm - g) for mi, gm, g in zip(m, _apply(G, m), g_st)) + s * t
+def _n_exponent(n: int, m: list[tuple[int, int]], u: int, s: int, t: int) -> int:
+    """n times the exponent m C^-1 m - m C^-1 e_u + st/n, over the distinct
+    indices of m and their counts."""
+    return sum(c * (sum(d * pt._gram(n, a, b) for b, d in m) - pt._gram(n, a, u))
+               for a, c in m) + s * t
 
 
 def _fermionic_raw(n: int, s: int, t: int, L: int) -> LaurentPoly:
     """Constant-sign sum for the finite branching polynomial.
 
     Sum over nonnegative (n-1)-vectors m with t + sum(i*m_i) = 0 mod n of
-    q^(m C^-1 m - m C^-1 e_(s-t+n) + st/n) prod binom(l_i + m_i, m_i), where
-    l = C^-1 (base - 2m), base = L e_(n-1) + e_r + e_(s-t+n) and
+    q^(m C^-1 m - m C^-1 e_u + st/n) prod binom(l_i + m_i, m_i), where
+    u = s - t + n, l = C^-1 (base - 2m), base = L e_(n-1) + e_r + e_u and
     r = L - (s+t) mod n, with e_0 = e_n = 0.  Terms with any l_i < 0 vanish.
     The entries of C l = base - 2m sum to l_1 + l_(n-1) >= 0, so the walk
     stops at 2 sum(m) <= sum(base).
     """
-    G = pt._cartan_gram(n)
-    e_st = _unit(n, s - t + n)
-    g_st = _gram_column(n, s - t + n)
-    base = [L * u + a + b for u, a, b in zip(_unit(n, n - 1), _unit(n, (L - s - t) % n), e_st)]
+    u = s - t + n
+    base: dict[int, int] = {}  # index -> entry, on 1..n-1
+    for k, x in ((n - 1, L), ((L - s - t) % n, 1), (u, 1)):
+        if 0 < k < n:
+            base[k] = base.get(k, 0) + x
     acc: dict[int, int] = {}  # n * exponent -> coefficient
-    for m in _m_vectors(n, t, sum(base) // 2):
-        nl = _apply(G, [b - 2 * mi for b, mi in zip(base, m)])  # n * l
-        if any(x < 0 or x % n for x in nl):
+    for m in _multisets(n, t, sum(base.values()) // 2):
+        w = base.copy()  # base - 2m
+        for a, c in m:
+            w[a] = w.get(a, 0) - 2 * c
+        if any(_n_l(n, w, i) < 0 for i in (1, n - 1, *w)):
             continue
         prod = LaurentPoly.one()
-        for x, mi in zip(nl, m):
-            prod = prod * qbinom_lower(x // n + mi, mi)
-        _add_shifted(acc, prod, _n_exponent(G, m, g_st, s, t), n)
+        for a, c in m:
+            prod = prod * qbinom_lower(_n_l(n, w, a) // n + c, c)
+        _add_shifted(acc, prod, _n_exponent(n, m, u, s, t), n)
     return LaurentPoly(acc, n)
 
 
@@ -120,7 +120,7 @@ def fermionic_poly(
     The tests pin this rule against the path enumeration for every sector.
     An unreachable sector gives the zero polynomial, as it does for the paths.
     """
-    reachable = pt.weight_target_profile(n, j, target) is not None
+    reachable = pt.check_target(n, j, target)
     s, t = sorted(target)
     raw = _fermionic_raw(n, s, t, L) if reachable else LaurentPoly.zero()
     shift = Fraction(_shift(n, s, t) if not raw.is_zero() else 0)
@@ -132,23 +132,22 @@ def fermionic_limit(
 ) -> TruncatedSeries:
     """Limit series of the constant-sign sum, normalized by the same rule as
     ``fermionic_poly``; an unreachable sector gives the zero series."""
-    if pt.weight_target_profile(n, j, target) is None:
+    if not pt.check_target(n, j, target):
         return TruncatedSeries({}, 1, degree)
     s, t = sorted(target)
-    G = pt._cartan_gram(n)
-    g_st = _gram_column(n, s - t + n)
+    u = s - t + n
     shift = _shift(n, s, t)
     ncap = n * (degree + shift)  # n times the exponent cap
-    # every entry of G is >= 1, so with S = sum(m) and c = max(g_st) the
-    # n-scaled exponent is at least S^2 - c S; above the root it passes ncap
-    c = max(g_st)
+    # every entry of G is >= 1, so with S = sum(m) and c = G_uu = max(G e_u)
+    # the n-scaled exponent is at least S^2 - c S; above the root it passes ncap
+    c = pt._gram(n, u, u)
     acc: dict[int, int] = {}  # n * (exponent - shift) -> coefficient
-    for m in _m_vectors(n, t, (c + isqrt(c * c + 4 * ncap)) // 2):
-        e = _n_exponent(G, m, g_st, s, t)
+    for m in _multisets(n, t, (c + isqrt(c * c + 4 * ncap)) // 2):
+        e = _n_exponent(n, m, u, s, t)
         if e > ncap:
             continue
         # prod 1/(q)_(m_i), one factor 1/(1 - q^b) for each b <= m_i
-        term = q_product((), [b for mi in m for b in range(1, mi + 1)], (ncap - e) // n)
+        term = q_product((), [b for _, k in m for b in range(1, k + 1)], (ncap - e) // n)
         _add_shifted(acc, term.poly, e - n * shift, n)
     return TruncatedSeries(acc, n, degree)
 
@@ -268,6 +267,10 @@ def chi_js(n: int, core: pt.Partition, degree: int) -> TruncatedSeries:
     return b.shifted(-s).truncate(degree)
 
 
+@lru_cache(maxsize=None)
 def principal_char(n: int, order: int) -> TruncatedSeries:
-    """Product over exponents prime to the modulus; counts regular partitions."""
+    """Product over exponents prime to the modulus; counts regular partitions.
+
+    Cached: the cost estimates of the CLI (``cli._counts``) ask for the same
+    few (n, order) again with every command a process runs."""
     return q_product((), [b for b in range(1, order + 1) if b % n], order)

@@ -60,8 +60,10 @@ def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cel
                 cells[j] = texts[id(e)]
         return cells
 
-    if fmt == "json":
-        return json.dumps({**head, "entries": list(map(patched, entries))}, sort_keys=True)
+    if fmt == "json":  # the head's text around the entries, written row by row
+        before, after = json.dumps({**head, "entries": 0}, sort_keys=True).split('"entries": 0')
+        rows_json = ((", " if i else "") + json.dumps(patched(row)) for i, row in enumerate(entries))
+        return "".join(chain([before, '"entries": ['], rows_json, ["]", after]))
     labels = _csv([r] for r in rows).splitlines()
     return _csv([["", *cols]]) + "".join(
         f"{label},{','.join(patched(row))}\n" for label, row in zip(labels, entries))
@@ -342,13 +344,18 @@ def _branching_cost(a):
     n, L, d = a.n, a.L, a.degree
     pt.check_target(n, a.j, a.target)
     if a.source == "paths":
-        return n * n * L**3 // 40, "the path DP over part values up to L"
-    if a.source == "fermionic":  # (n-1)-vectors of sum <= L/2 + 1; a lower bound past C(., 64)
+        cost = n * n * L**3 // 40, "the path DP over part values up to L"
+    elif a.source == "fermionic":
+        # 100 us of fixed work, then the C(n - 2 + top, top - 1) multisets (a lower bound past C(., 64)),
+        # each a kink test and q-binomials of about L^3/600 at n <= 3, a third of that per further n
         top = L // 2 + 1
-        return comb(top + n - 1, min(top, n - 1, 64)) * L**4 // 50_000, "the constant-sign sum"
-    r = _counts(n * d, n)
-    steps = sum(r[min(n * e, _CAP)] * n * n * e for e in range(min(d, _CAP) + 1))
-    return steps // 3, "the n-regular partitions of n * e nodes, e <= degree"
+        each = 3 + L**3 // 600 // 3 ** min(max(n - 3, 0), 40)
+        cost = 100 + comb(n - 2 + top, min(top - 1, n - 1, 64)) * each, "the multisets of the constant-sign sum"
+    else:
+        r = _counts(n * d, n)
+        steps = sum(r[min(n * e, _CAP)] * n * n * e for e in range(min(d, _CAP) + 1))
+        cost = steps // 3, "the n-regular partitions of n * e nodes, e <= degree"
+    return max(cost, (2 * n, "the n residue counts of the target"))
 
 
 def _abf_cost(a):

@@ -348,22 +348,24 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return all(map(ge, accumulate(lam), accumulate(mu)))
 
 
-@lru_cache(maxsize=None)
-def _cartan_gram(n: int) -> tuple[tuple[int, ...], ...]:
-    """G = n * C^-1 for the (n-1)x(n-1) finite type-A Cartan matrix C:
-    G_ij = min(i, j) * (n - max(i, j)), an integer matrix with G C = n I."""
-    return tuple(
-        tuple(min(i, j) * (n - max(i, j)) for j in range(1, n)) for i in range(1, n)
-    )
+def _gram(n: int, i: int, j: int) -> int:
+    """Entry (i, j) of G = n C^-1 for the (n-1)x(n-1) finite type-A Cartan
+    matrix C: min(i, j)(n - max(i, j)) (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, Plate I).  It is 0 when i or j is 0 or n, so e_0 = e_n = 0."""
+    return i * (n - j) if i <= j else j * (n - i)
 
 
-def check_target(n: int, j: int, target: tuple[int, int]) -> None:
-    """A ValueError unless both target indices and j lie in 0..n-1."""
+def check_target(n: int, j: int, target: tuple[int, int]) -> bool:
+    """Whether the target Lambda_s + Lambda_t lies in the sector of j, s + t = j
+    mod n; a ValueError unless both target indices and j lie in 0..n-1, n >= 2."""
     s, t = target
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"target {s},{t} needs both indices in 0..n-1 = 0..{n - 1}")
     if not 0 <= j < n:
         raise ValueError(f"j {j} needs to lie in 0..n-1 = 0..{n - 1}")
+    if n == 1:
+        raise ValueError("n must be >= 2")
+    return (s + t - j) % n == 0
 
 
 def weight_target_profile(
@@ -373,26 +375,14 @@ def weight_target_profile(
 
     For the target Lambda_s + Lambda_t inside V(Lambda_j) x V(Lambda_0), a
     contributing partition has residue counts m_i = E + c_i with c_0 = 0.
-    Returns (c, sum(c)) or None when the target is unreachable (including
-    j != s + t mod n).  A target index or j outside 0..n-1 is a ValueError.
+    Returns (c, sum(c)), or None when the target lies outside the sector of j
+    (s + t != j mod n).  A target index or j outside 0..n-1 is a ValueError.
     """
-    check_target(n, j, target)
+    if not check_target(n, j, target):
+        return None
     s, t = target
-    if (s + t - j) % n != 0:
-        return None
-    T = [0] * n
-    T[0] += 1
-    T[j] += 1
-    T[s] -= 1
-    T[t] -= 1
-    if n == 1:
-        raise ValueError("n must be >= 2")
-    # c = C^-1 T on the indices 1..n-1 is integral iff G T is divisible by n
-    gT = [sum(g * x for g, x in zip(row, T[1:])) for row in _cartan_gram(n)]
-    if any(v % n for v in gT):
-        return None
-    c = (0, *(v // n for v in gT))
-    # consistency at the wrap-around equation k = 0
-    if 2 * c[0] - c[n - 1] - c[1 % n] != T[0]:
-        return None
+    # n c = G T for T = e_0 + e_j - e_s - e_t on the indices 1..n-1 (G e_0 = 0).
+    # G_ik = -ik mod n, so n divides (G T)_i = -i(j - s - t) mod n; the rows of
+    # the affine Cartan matrix sum to 0, as T does, so the equation at 0 holds.
+    c = (0, *((_gram(n, i, j) - _gram(n, i, s) - _gram(n, i, t)) // n for i in range(1, n)))
     return c, sum(c)

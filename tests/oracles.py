@@ -30,6 +30,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from typing import NamedTuple
 
 from fcl import specht
@@ -372,6 +373,85 @@ def branching_series_crystal_listed(
             if count:
                 terms[e] = count
     return TruncatedSeries(terms, 1, degree)
+
+
+def cartan_gram(n: int) -> tuple[tuple[int, ...], ...]:
+    """G = n C^-1 for the (n-1)x(n-1) finite type-A Cartan matrix C, as a
+    matrix: G_ij = min(i, j) * (n - max(i, j))."""
+    return tuple(
+        tuple(min(i, j) * (n - max(i, j)) for j in range(1, n)) for i in range(1, n)
+    )
+
+
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    """e_i as an (n-1)-vector; e_0 = e_n = 0."""
+    return tuple(int(k == i) for k in range(1, n))
+
+
+def _apply(G: tuple[tuple[int, ...], ...], v) -> tuple[int, ...]:
+    return tuple(sum(g * x for g, x in zip(row, v)) for row in G)
+
+
+def m_vectors(n: int, t: int, total: int):
+    """Nonnegative (n-1)-vectors m with sum(m) <= total and
+    t + sum(i*m_i) = 0 mod n, by a recursive walk over the entries."""
+
+    def walk(i: int, left: int, res: int):
+        if i == n:
+            if res % n == 0:
+                yield ()
+            return
+        for mi in range(left + 1):
+            for rest in walk(i + 1, left - mi, res + i * mi):
+                yield (mi, *rest)
+
+    return walk(1, total, t)
+
+
+def _n_exponent(G, m, g_st, s: int, t: int) -> int:
+    """n times m C^-1 m - m C^-1 e_(s-t+n) + st/n, for g_st = G e_(s-t+n)."""
+    return sum(mi * (gm - g) for mi, gm, g in zip(m, _apply(G, m), g_st)) + s * t
+
+
+def fermionic_raw(n: int, s: int, t: int, L: int) -> LaurentPoly:
+    """The constant-sign sum of the finite branching polynomial (s <= t) on
+    dense (n-1)-vectors: l = C^-1 (base - 2m) is the full vector G(base - 2m)/n,
+    every entry tested for sign and divisibility."""
+    G = cartan_gram(n)
+    e_st = _unit(n, s - t + n)
+    g_st = _apply(G, e_st)
+    base = [L * u + a + b for u, a, b in zip(_unit(n, n - 1), _unit(n, (L - s - t) % n), e_st)]
+    out = LaurentPoly.zero()
+    for m in m_vectors(n, t, sum(base) // 2):
+        nl = _apply(G, [b - 2 * mi for b, mi in zip(base, m)])  # n * l
+        if any(x < 0 or x % n for x in nl):
+            continue
+        prod = LaurentPoly.one()
+        for x, mi in zip(nl, m):
+            prod = prod * qbinom_lower_divided(x // n + mi, mi)
+        out = out + prod.shifted(Fraction(_n_exponent(G, m, g_st, s, t), n))
+    return out
+
+
+def fermionic_limit_dense(n: int, j: int, target: tuple[int, int], degree: int) -> TruncatedSeries:
+    """The limit series of the constant-sign sum on dense (n-1)-vectors, each
+    term's 1/prod (q)_(m_i) a repeated series product, shifted down by
+    q^max(0, s + t - n); the zero series for an unreachable sector."""
+    if weight_target_profile(n, j, target) is None:
+        return TruncatedSeries({}, 1, degree)
+    s, t = sorted(target)
+    G = cartan_gram(n)
+    g_st = _apply(G, _unit(n, s - t + n))
+    shift = max(0, s + t - n)
+    ncap = n * (degree + shift)
+    c = max(g_st)  # the exponent is at least S^2 - c S for S = sum(m)
+    out = LaurentPoly.zero()
+    for m in m_vectors(n, t, (c + isqrt(c * c + 4 * ncap)) // 2):
+        e = _n_exponent(G, m, g_st, s, t)
+        if e <= ncap:  # the term's exponents e/n - shift + k reach the degree at k = (ncap - e)/n
+            term = geometric_product([b for mi in m for b in range(1, mi + 1)], (ncap - e) // n)
+            out = out + term.poly.shifted(Fraction(e, n) - shift)
+    return TruncatedSeries.from_poly(out, degree)
 
 
 def matrix_text(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cell) -> str:

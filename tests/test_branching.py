@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fcl.branching import (
+    _multisets,
     abf_closed,
     branching_series_stable,
     chi_js,
@@ -13,9 +17,9 @@ from fcl.branching import (
     x_limit,
 )
 from fcl.crystal import crystal_graph
-from fcl.partitions import _cartan_gram, enumerate_partitions
+from fcl.partitions import _gram, enumerate_partitions
 from fcl.paths import abf_sum_direct, branching_poly_paths, chi_js_direct
-from fcl.qseries import TruncatedSeries
+from fcl.qseries import LaurentPoly, TruncatedSeries
 from oracles import branching_series_listed, geometric_product
 
 SECTORS = {
@@ -32,13 +36,56 @@ SECTORS = {
 
 
 def test_cartan_gram_is_n_times_the_inverse():
-    for n in range(2, 9):
-        G = _cartan_gram(n)
-        C = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n - 1)]
-             for i in range(n - 1)]
-        GC = [[sum(G[i][k] * C[k][j] for k in range(n - 1)) for j in range(n - 1)]
-              for i in range(n - 1)]
-        assert GC == [[n if i == j else 0 for j in range(n - 1)] for i in range(n - 1)], n
+    # the closed form G_ij = min(i, j)(n - max(i, j)) satisfies G C = n I,
+    # and vanishes on the indices 0 and n
+    for n in range(2, 13):
+        C = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(1, n)]
+             for i in range(1, n)]
+        GC = [[sum(_gram(n, i, k) * C[k - 1][j - 1] for k in range(1, n)) for j in range(1, n)]
+              for i in range(1, n)]
+        assert GC == [[n if i == j else 0 for j in range(1, n)] for i in range(1, n)], n
+        assert all(_gram(n, i, e) == _gram(n, e, i) == 0 for i in range(n + 1) for e in (0, n))
+        assert oracles.cartan_gram(n) == tuple(
+            tuple(_gram(n, i, j) for j in range(1, n)) for i in range(1, n))
+
+
+def test_multisets_are_the_m_vectors():
+    # each multiset once, its (index, count) pairs the count vector of the
+    # recursive walk over entries
+    for n in range(2, 10):
+        for t in range(n):
+            for total in range(7):
+                got = [tuple(dict(m).get(i, 0) for i in range(1, n)) for m in _multisets(n, t, total)]
+                assert all(m == sorted(m) and 0 not in dict(m).values() for m in _multisets(n, t, total))
+                assert sorted(got) == sorted(oracles.m_vectors(n, t, total)), (n, t, total)
+                assert len(set(got)) == len(got)
+
+
+def _assert_raw_is_the_dense_sum(n, j, target, L):
+    fb = fermionic_poly(n, j, target, L)
+    in_sector = (sum(target) - j) % n == 0
+    want = oracles.fermionic_raw(n, *sorted(target), L) if in_sector else LaurentPoly.zero()
+    assert (fb.raw.terms, fb.raw.den) == (want.terms, want.den), (n, j, target, L)
+
+
+def test_constant_sign_sums_are_the_dense_sums():
+    # 2,937 polynomials and 672 limit series: every j and ordered target of
+    # n = 2..6 at L <= 8 (L <= 5 for n >= 5), and of n = 2..5 at degrees 0, 3, 8
+    for n in range(2, 7):
+        for j, s, t in product(range(n), repeat=3):
+            for L in range(9 if n < 5 else 6):
+                _assert_raw_is_the_dense_sum(n, j, (s, t), L)
+            if n < 6:
+                for degree in (0, 3, 8):
+                    want = oracles.fermionic_limit_dense(n, j, (s, t), degree)
+                    assert fermionic_limit(n, j, (s, t), degree) == want, (n, j, s, t, degree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.data(), st.integers(0, 4))
+def test_constant_sign_sums_are_the_dense_sums_on_random_sectors(n, data, L):
+    j, s, t = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    _assert_raw_is_the_dense_sum(n, j, (s, t), L)
 
 
 # cutoffs up to 24 for n = 2..5; n = 6 stops at 16 to bound the time

@@ -446,19 +446,34 @@ TRILLION = "1000000000000"
     # 10^12 runners of the abacus
     f"cores --partition 1 --n {TRILLION}", f"fow --n {TRILLION} --partition 1", f"js-list --n {TRILLION}",
     f"chi --n {TRILLION} --degree 0",
+    # 10^12 residue counts of the target, at L = degree = 0
+    *(f"branching --n {TRILLION} --source {source} --L 0 --degree 0"
+      for source in ("paths", "fermionic", "crystal")),
 ])
 def test_partition_past_the_budget_exits_4_before_it_is_expanded(argv):
     # in a process capped at 1 GiB, so that expanding the 10^12 parts or runners
     # fails here instead of exhausting the host's memory
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from fcl.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))")
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code, *argv.split()], env=env,
-                          capture_output=True, text=True, timeout=30)
+    proc = _capped_run(argv)
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
     assert proc.stderr.startswith(f"resource cap: {argv.split()[0]} is estimated at ")
+
+
+def _capped_run(argv: str) -> subprocess.CompletedProcess:
+    """``fcl argv`` in a process whose address space is capped at 1 GiB."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from fcl.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("source", ["fermionic", "paths"])
+def test_branching_at_n_3000_runs_in_a_gibibyte(source):
+    # no n x n Gram matrix: the residue profile and the sums take O(n) memory
+    proc = _capped_run(f"branching --n 3000 --source {source} --L 1")
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 
 def _cost(argv: list[str]) -> int:
@@ -484,7 +499,9 @@ def test_budget_admits_the_ci_and_readme_commands():
     ci = ["branching --n 4 --j 0 --target 0,0 --L 24 --source paths".split(),
           "specht-matrix --shape 5,4,3 --gen 5 --format csv".split(),
           "specht-matrix --shape 6,4,1,1 --gen 5 --format json".split(),
-          "fow --n 2 --partition 1^4999998".split()]
+          "fow --n 2 --partition 1^4999998".split(),
+          "branching --n 200 --source fermionic --L 5".split(),
+          "branching --n 3000 --source fermionic --L 1".split()]
     for argv in readme + ci:
         assert _cost(argv) <= cli.BUDGET, argv
 
