@@ -1,13 +1,13 @@
 """Lower global basis of the basic representation inside the q-Fock space.
 
 Each n-regular mu starts from A(mu) = f_r^(k) G(mu_bar), mu_bar being mu
-without its highest ladder (k nodes of residue r), in one packed lowering
-whatever k is; Gaussian correction against the finished basis vectors
-removes the bar-noninvariant part of every other coefficient, leaving the
-canonical column d_(lambda,mu)(q).  Evaluating at q=1 gives the
-decomposition matrix of the type-A Hecke algebra at an n-th root of unity;
-pushing the lowering operators through the basis gives restriction
-multiplicities.
+without its highest ladder (k nodes of residue r, all of them row ends, so
+the ladder is read from the row ends alone), in one packed lowering whatever
+k is; Gaussian correction against the finished basis vectors removes the
+bar-noninvariant part of every other coefficient, leaving the canonical
+column d_(lambda,mu)(q).  Evaluating at q=1 gives the decomposition matrix
+of the type-A Hecke algebra at an n-th root of unity; pushing the lowering
+operators through the basis gives restriction multiplicities.
 
 A column is {partition: int}, each coefficient sum c_e q^e packed as
 sum c_e 2^(64 (e + off)) with one lift off per column, so that every exponent
@@ -35,10 +35,9 @@ from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
 from .fock import FockVector, _lowerings
-from .qseries import _ZERO, LaurentPoly, _pack, _unpack
+from .qseries import LaurentPoly, _dense, _pack, _unpack
 
 __all__ = [
-    "ladders",
     "DecompositionMatrix",
     "global_lower_basis",
     "global_basis_vectors",
@@ -47,28 +46,18 @@ __all__ = [
 ]
 
 
-def ladders(mu: pt.Partition, n: int) -> list[tuple[int, int, int]]:
-    """Ladder decomposition [(ladder index, residue, node count), ...].
-
-    The node (row, col) sits on ladder row + (n-1)(col-1); every node of a
-    ladder has residue (1 - ladder) mod n.  Listed in increasing ladder index.
-    """
-    pt.check_regular(mu, n)
-    counts: dict[int, int] = {}
-    for row, p in enumerate(mu, start=1):
-        for col in range(1, p + 1):
-            ell = row + (n - 1) * (col - 1)
-            counts[ell] = counts.get(ell, 0) + 1
-    return [(ell, (1 - ell) % n, counts[ell]) for ell in sorted(counts)]
-
-
 def _top_ladder(mu: pt.Partition, n: int) -> tuple[int, int, pt.Partition]:
-    """(r, k, mu_bar): the highest ladder of mu holds k nodes of residue r; mu_bar lacks them."""
-    top, res, k = ladders(mu, n)[-1]
-    rows = [p - (r + (n - 1) * (p - 1) == top) for r, p in enumerate(mu, start=1)]
-    if sum(rows) != sum(mu) - k or any(a < b for a, b in zip(rows, rows[1:])):
-        raise ConventionError(f"top ladder of {mu} has a node that is not a row end")
-    return res, k, tuple(p for p in rows if p)
+    """(r, k, mu_bar): the highest ladder of mu holds k nodes of residue r; mu_bar lacks them.
+
+    The node (row, col) sits on ladder row + (n-1)(col-1), which has residue
+    (1 - ladder) mod n, so the highest ladder is met at row ends only: a node left
+    of a row end is n-1 ladders lower, and of two rows of equal length the lower
+    one's end is the higher, so removing the ends leaves a partition.
+    """
+    ends = [r + (n - 1) * (p - 1) for r, p in enumerate(mu, start=1)]
+    top = max(ends)
+    rows = (p - (e == top) for p, e in zip(mu, ends))
+    return (1 - top) % n, ends.count(top), tuple(p for p in rows if p)
 
 
 # Finished columns share their keys and packed coefficients through these tables;
@@ -221,21 +210,11 @@ def _bases(n: int, m: int) -> list[dict[pt.Partition, tuple[Column, int]]]:
     return sizes
 
 
-def _from_columns(n: int, m: int, rows: list[pt.Partition], cols: list[pt.Partition],
-                  columns) -> DecompositionMatrix:
-    """The matrix with column j given as {row: coefficient}; every other cell is the one zero."""
-    index = {lam: r for r, lam in enumerate(rows)}
-    entries = [[_ZERO] * len(cols) for _ in rows]
-    for j, terms in enumerate(columns):
-        for lam, c in terms.items():
-            entries[index[lam]][j] = c
-    return DecompositionMatrix(n, m, rows, cols, entries)
-
-
 def global_lower_basis(n: int, m: int) -> DecompositionMatrix:
     vecs = global_basis_vectors(n, m)
     cols = pt.enumerate_partitions(m, regular=n)
-    return _from_columns(n, m, pt.enumerate_partitions(m), cols, (vecs[mu].terms for mu in cols))
+    rows = pt.enumerate_partitions(m)
+    return DecompositionMatrix(n, m, rows, cols, _dense(rows, [vecs[mu].terms for mu in cols]))
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +253,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
                 f"restriction image of {mu} does not lie in the basis span"
             )
         columns.append(coeffs)
-    return _from_columns(n, m, rows, cols, columns)
+    return DecompositionMatrix(n, m, rows, cols, _dense(rows, columns))
 
 
 def js_canonical(lam: pt.Partition, n: int) -> bool:

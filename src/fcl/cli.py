@@ -6,7 +6,7 @@ Each subparser sets a ``cost`` estimate from the parsed arguments, and
 work starts; a partition flag is counted from its (value, count) pairs, so
 ``value^count`` is expanded only once the command is admitted.  Exit codes: 0
 success, 2 invalid arguments, 3 internal convention-violation assertion, 4 over
-the cost budget (or an input too deep to enumerate).
+the cost budget (or an input too large for the stack or memory at hand).
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cel
     """A matrix of LaurentPoly entries labelled by rows and cols, each shown as cell(entry).
 
     CSV has a header of column labels, one line per row label and '.' for a
-    zero entry; JSON has the head fields plus "entries".  The library fills
-    its matrices with the one zero ``_ZERO``, so one scan by identity finds a
-    row's other entries, and the texts of those that are not zero either are
-    patched into a row of zero cells.  Entries share few distinct objects, so
-    each object is rendered once per matrix.  No cell text holds a comma, quote
-    or line break, so only the labels need CSV quoting.
+    zero entry; JSON has the head fields plus "entries".  ``qseries._dense``
+    fills every empty cell with the one zero ``_ZERO``, so one scan by identity
+    finds a row's other entries, and the texts of those that are not zero
+    either are patched into a row of zero cells.  Entries share few distinct
+    objects, so each object is rendered once per matrix.  No cell text holds a
+    comma, quote or line break, so only the labels need CSV quoting.
     """
     blank = [cell(_ZERO) if fmt == "json" else "."] * len(cols)
     show = cell if fmt == "json" else lambda e: str(cell(e))
@@ -497,8 +497,8 @@ def dispatch(argv: list[str]) -> int:
     except ResourceBoundError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except RecursionError:
-        print("resource cap: input too large to enumerate", file=sys.stderr)
+    except (RecursionError, MemoryError):
+        print("resource cap: input too large for the stack or memory at hand", file=sys.stderr)
         return 4
     text, failures = result if isinstance(result, tuple) else (result, 0)
     print(text)

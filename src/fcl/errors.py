@@ -2,8 +2,9 @@
 
 The CLI's exit codes: 0 on success; 2 for invalid input (argparse errors
 and ValueError); 3 for ConventionError; 4 for a cost estimate over the budget
-(ResourceBoundError) and for an input too deep to enumerate (RecursionError);
-1 only when ``selfcheck`` reports a failed oracle.
+(ResourceBoundError) and for an input too large for the stack or memory at
+hand (RecursionError, MemoryError); 1 only when ``selfcheck`` reports a
+failed oracle.
 """
 
 

@@ -20,12 +20,10 @@ __all__ = [
     "LaurentPoly",
     "Combination",
     "TruncatedSeries",
-    "bar",
     "q_int",
     "gauss_balanced",
     "qbinom_lower",
     "q_product",
-    "phi",
     "inv_phi",
 ]
 
@@ -120,10 +118,6 @@ class LaurentPoly:
 
     def is_bar_invariant(self) -> bool:
         return all(self.terms.get(-n, 0) == c for n, c in self.terms.items())
-
-    def in_qZq(self) -> bool:
-        """True iff every exponent is a positive integer."""
-        return all(n > 0 and n % self.den == 0 for n in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -325,6 +319,17 @@ def _pack(terms: dict[int, int], off: int) -> int:
     return sum(c << _DIGIT * (e + off) for e, c in terms.items())
 
 
+def _dense(labels, columns) -> list[list[LaurentPoly]]:
+    """The rows, one per label, of the matrix whose j-th column is columns[j] as
+    {label: coefficient}; every other cell is the one zero ``_ZERO``."""
+    index = {key: r for r, key in enumerate(labels)}
+    rows = [[_ZERO] * len(columns) for _ in labels]
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows[index[key]][j] = c
+    return rows
+
+
 class Combination:
     """A finite combination of basis keys with nonzero LaurentPoly coefficients.
 
@@ -415,10 +420,6 @@ class Combination:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()!r})"
-
-
-def bar(p: LaurentPoly) -> LaurentPoly:
-    return p.bar()
 
 
 @lru_cache(maxsize=None)
@@ -554,13 +555,8 @@ def q_product(num, den, order: int) -> TruncatedSeries:
     return TruncatedSeries(dict(enumerate(coeffs)), 1, order)
 
 
-def phi(order: int) -> TruncatedSeries:
-    """The Euler product (1-q)(1-q^2)... truncated at the given order."""
-    return q_product(range(1, order + 1), (), order)
-
-
 def inv_phi(order: int) -> TruncatedSeries:
-    """1/phi(q); the q^k coefficient is the number of partitions of k."""
+    """1/prod_(k >= 1) (1 - q^k); the q^k coefficient is the number of partitions of k."""
     if order < 0:
         raise ValueError("order must be >= 0")
     return q_product((), range(1, order + 1), order)

@@ -22,7 +22,7 @@ from itertools import combinations, repeat
 from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
-from .qseries import _MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built, _unpack
+from .qseries import _MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built, _dense, _unpack
 
 __all__ = [
     "Tableau",
@@ -320,16 +320,6 @@ def _times(vec: dict[Tableau, LaurentPoly], cols: dict, s: int = 0) -> dict[Tabl
     return _built(acc)
 
 
-def _rows(basis: tuple[Tableau, ...], cols: list[dict]) -> list[list[LaurentPoly]]:
-    """Dense rows of the matrix whose j-th column is cols[j]."""
-    index = {t: k for k, t in enumerate(basis)}
-    rows = [[LaurentPoly.zero()] * len(cols) for _ in basis]
-    for j, vec in enumerate(cols):
-        for b, c in vec.items():
-            rows[index[b]][j] = c
-    return rows
-
-
 @lru_cache(maxsize=None)
 def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     """Matrix of the i-th generator; columns are images of basis vectors."""
@@ -338,7 +328,7 @@ def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ..
     if not 1 <= i <= m - 1:
         raise ValueError(f"generator index {i} out of range for m={m}")
     basis = standard_tableaux(shape)
-    return tuple(map(tuple, _rows(basis, [_generator_image(t, i) for t in basis])))
+    return tuple(map(tuple, _dense(basis, [_generator_image(t, i) for t in basis])))
 
 
 def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPoly]]:
@@ -353,7 +343,7 @@ def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPol
     cols = {t: {t: LaurentPoly.one()} for t in basis}
     for i in reversed(word):
         cols = {t: _times(vec, gens[i]) for t, vec in cols.items()}
-    return _rows(basis, list(cols.values()))
+    return _dense(basis, cols.values())
 
 
 def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
@@ -373,4 +363,4 @@ def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
             vec[t] = vec.get(t, LaurentPoly.zero()) + LaurentPoly.one()
             nxt[t] = _times(vec, gen, -1)
         cols = nxt
-    return _rows(basis, list(cols.values()))
+    return _dense(basis, cols.values())

@@ -16,8 +16,10 @@ repeated ``TruncatedSeries`` products, the node model of addable and
 removable ``Node``s with the classical (q = 1) node operators, the
 signature reduced by deleting RA pairs and rescanning (and e~_i, which
 removes its good removable node), the crystal graph grown by breadth-first
-f~_i steps, the lower global basis corrected from ladder monomials built
-from the empty partition by those divided powers, and restriction
+f~_i steps, the ladders of a partition counted node by node, its top ladder
+removed node by node, the lower global basis corrected from ladder monomials
+built from the empty partition by those divided powers, the qZ[q] test read
+off ``Fraction`` exponents, and restriction
 coefficients read off (sum_i f_i) G(mu) by eliminating G(lambda) with
 ``FockVector`` arithmetic.  The arithmetic of Fock and Specht vectors is checked key by key
 with ``LaurentPoly`` operations, polynomial text is built from ``Fraction``
@@ -34,11 +36,11 @@ from math import isqrt
 from typing import NamedTuple
 
 from fcl import specht
-from fcl.canonical import global_basis_vectors, ladders
+from fcl.canonical import global_basis_vectors
 from fcl.crystal import eps_phi
 from fcl.fock import FockVector, f_apply
 from fcl.partitions import (
-    Partition, check_partition, conjugate, dominates, enumerate_partitions,
+    Partition, check_partition, check_regular, conjugate, dominates, enumerate_partitions,
     multiplicities, residue_counts, weight_target_profile,
 )
 from fcl.paths import ALL_J, fow_classify, js_partitions_upto
@@ -706,6 +708,39 @@ def divided_f(i: int, k: int, u: FockVector) -> FockVector:
     return FockVector(u.n, {lam: c.exact_div(q_fact(k)) for lam, c in u.terms.items()})
 
 
+def ladders(mu: Partition, n: int) -> list[tuple[int, int, int]]:
+    """Ladder decomposition [(ladder index, residue, node count), ...].
+
+    The node (row, col) sits on ladder row + (n-1)(col-1); every node of a
+    ladder has residue (1 - ladder) mod n.  Listed in increasing ladder index.
+    """
+    check_regular(mu, n)
+    counts: dict[int, int] = {}
+    for row, p in enumerate(mu, start=1):
+        for col in range(1, p + 1):
+            ell = row + (n - 1) * (col - 1)
+            counts[ell] = counts.get(ell, 0) + 1
+    return [(ell, (1 - ell) % n, counts[ell]) for ell in sorted(counts)]
+
+
+def top_ladder(mu: Partition, n: int) -> tuple[int, int, Partition]:
+    """(r, k, mu_bar): the top ladder of ``ladders``, and mu with that ladder's nodes
+    removed one by one, top row first, each checked to be removable when it goes."""
+    top, res, k = ladders(mu, n)[-1]
+    rows = [*mu, 0]
+    for row, p in enumerate(mu):
+        for col in range(1, p + 1):
+            if row + 1 + (n - 1) * (col - 1) == top:
+                assert col == rows[row] > rows[row + 1], (mu, row, col)
+                rows[row] -= 1
+    return res, k, tuple(p for p in rows if p)
+
+
+def in_qZq(p: LaurentPoly) -> bool:
+    """True iff every exponent of p is a positive integer."""
+    return all(e > 0 and e.denominator == 1 for e in (Fraction(num, p.den) for num in p.terms))
+
+
 def monomial_A(mu: Partition, n: int) -> FockVector:
     """The ladder monomial: every ladder's divided power, lowest ladder first, on v[()].
 
@@ -737,7 +772,7 @@ def global_basis_from_monomials(n: int, m: int) -> dict[Partition, FockVector]:
                 continue
             gamma = LaurentPoly({**low, **{-e: k for e, k in low.items()}})
             vec = vec - done[nu].scaled(gamma)
-        assert all(lam == mu or c.in_qZq() for lam, c in vec.terms.items()), mu
+        assert all(lam == mu or in_qZq(c) for lam, c in vec.terms.items()), mu
         done[mu] = vec
     return done
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # what reaches the library: the package itself, the demos, the benchmark and the acceptance tests
 REACHERS = [*sorted((ROOT / "src" / "fcl").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
             *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+JOBS, PYPROJECT = ROOT / "bench" / "jobs.py", ROOT / "pyproject.toml"
 
 
 @pytest.mark.parametrize("module", fcl.__all__)
@@ -19,19 +21,53 @@ def test_every_public_name_resolves(module):
         assert hasattr(mod, name), f"fcl.{module}.{name}"
 
 
+def _reached(path: Path) -> set[str]:
+    """Every "module.name" of fcl that the file refers to: by importing the name, as an
+    attribute of an alias of its module, bare in its own module outside that name's
+    definition, or as a "layer.name" string in the benchmark's job list."""
+    tree = ast.parse(path.read_text())
+    own = path.stem if path.parent == ROOT / "src" / "fcl" else None
+    modules: dict[str, str] = {}  # local alias -> fcl module ("" for the package)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or "fcl": a.name[4:] if a.asname else ""
+                            for a in node.names if a.name.split(".")[0] == "fcl"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "fcl") == "fcl":  # from . import x
+            modules.update({a.asname or a.name: a.name for a in node.names})
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            base = f"fcl.{node.module}" if node.level else node.module
+            if base.startswith("fcl."):
+                found.update(f"{base[4:]}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            value, module = node.value, None
+            if isinstance(value, ast.Name):
+                module = modules.get(value.id)
+            elif isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                module = value.attr if modules.get(value.value.id) == "" else None
+            if module:
+                found.add(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Constant) and path == JOBS and isinstance(node.value, str):
+            found.add(node.value)
+    if own:
+        for stmt in tree.body:
+            defined = getattr(stmt, "name", None)
+            found.update(f"{own}.{node.id}" for node in ast.walk(stmt) if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Load) and node.id != defined)
+    return found
+
+
 def test_every_public_name_is_reached():
-    # each name in an __all__ is used, outside its own definition (its whole
-    # indented body, so a recursive call is no use) and __all__ entry, by the
-    # package, a demo, the benchmark or an acceptance test
-    text = "\n".join(re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
-                     for path in REACHERS)
-    unreached = []
-    for module in fcl.__all__:
-        for name in getattr(importlib.import_module(f"fcl.{module}"), "__all__", ()):
-            definition = rf"^([ \t]*)(def|class) {name}\b.*\n(?:(?:\1[ \t]+.*)?\n)*|^{name} = .*$"
-            uses = re.sub(definition, "", text, flags=re.M)
-            if not re.search(rf"\b{name}\b", uses):
-                unreached.append(f"{module}.{name}")
+    # each name in an __all__ is referred to, outside its own definition, by the
+    # package, a demo, the benchmark, an acceptance test or the console script
+    reached = set(re.findall(r'"fcl\.(\w+):(\w+)"', PYPROJECT.read_text().split("[project.scripts]")[1]))
+    reached = {f"{module}.{name}" for module, name in reached}
+    for path in REACHERS:
+        reached |= _reached(path)
+    unreached = [f"{module}.{name}" for module in fcl.__all__
+                 for name in getattr(importlib.import_module(f"fcl.{module}"), "__all__", ())
+                 if f"{module}.{name}" not in reached]
     assert not unreached, f"reached by nothing: {', '.join(unreached)}"
 
 
@@ -62,3 +98,7 @@ def test_one_combination_type_and_one_accumulator():
     # decoder, and canonical packs through its one encoder
     assert specht._unpack is qseries._unpack
     assert canonical._unpack is qseries._unpack and canonical._pack is qseries._pack
+    # one filler of dense matrices, whose empty cells are all the one zero
+    assert specht._dense is qseries._dense and canonical._dense is qseries._dense
+    for mod, name in ((specht, "_rows"), (canonical, "_from_columns"), (canonical, "ladders")):
+        assert not hasattr(mod, name), f"{mod.__name__}.{name}"

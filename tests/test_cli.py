@@ -460,13 +460,21 @@ def test_partition_past_the_budget_exits_4_before_it_is_expanded(argv):
     assert proc.stderr.startswith(f"resource cap: {argv.split()[0]} is estimated at ")
 
 
-def _capped_run(argv: str) -> subprocess.CompletedProcess:
-    """``fcl argv`` in a process whose address space is capped at 1 GiB."""
+def _capped_run(argv: str, cap: int = 1 << 30) -> subprocess.CompletedProcess:
+    """``fcl argv`` in a process whose address space is capped at ``cap`` bytes (1 GiB)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
             "from fcl.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", code, *argv.split()], env=env,
                           capture_output=True, text=True, timeout=30)
+
+
+def test_out_of_memory_exits_4_without_a_traceback():
+    # three million parts are admitted by the budget, but not by a 256 MiB address space
+    proc = _capped_run("cores --partition 1^3000000 --n 2", 256 << 20)
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+    assert proc.stderr.startswith("resource cap: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("source", ["fermionic", "paths"])
@@ -501,7 +509,9 @@ def test_budget_admits_the_ci_and_readme_commands():
           "specht-matrix --shape 6,4,1,1 --gen 5 --format json".split(),
           "fow --n 2 --partition 1^4999998".split(),
           "branching --n 200 --source fermionic --L 5".split(),
-          "branching --n 3000 --source fermionic --L 1".split()]
+          "branching --n 3000 --source fermionic --L 1".split(),
+          "restriction --n 4 --m 22".split(), "canonical-basis --n 6 --m 22".split(),
+          "cores --partition 1^3000000 --n 2".split()]
     for argv in readme + ci:
         assert _cost(argv) <= cli.BUDGET, argv
 

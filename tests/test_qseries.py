@@ -11,10 +11,8 @@ from fcl.partitions import enumerate_partitions
 from fcl.qseries import (
     LaurentPoly,
     TruncatedSeries,
-    bar,
     gauss_balanced,
     inv_phi,
-    phi,
     q_int,
     q_product,
     qbinom_lower,
@@ -35,15 +33,15 @@ one = LaurentPoly.one()
 
 def test_bar_examples():
     p = Q(1) + Q(3)
-    assert bar(p) == Q(-1) + Q(-3)
-    assert bar(LaurentPoly.const(5)) == LaurentPoly.const(5)
+    assert p.bar() == Q(-1) + Q(-3)
+    assert LaurentPoly.const(5).bar() == LaurentPoly.const(5)
     sym = Q(-1) + Q(1)
-    assert bar(sym) == sym
+    assert sym.bar() == sym
 
 
 def test_bar_is_involution():
     p = Q(-2, 3) + Q(0, -1) + Q(5, 7)
-    assert bar(bar(p)) == p
+    assert p.bar().bar() == p
 
 
 def test_q_int_and_balanced_binomial():
@@ -87,7 +85,7 @@ def test_binomials_match_the_division_oracle():
 def test_inv_phi():
     assert inv_phi(0).coeffs_upto(0) == [1]
     assert inv_phi(5).coeffs_upto(5) == [1, 1, 2, 3, 5, 7]
-    prod = phi(12) * inv_phi(12)
+    prod = euler_product(12) * inv_phi(12)
     assert prod.coeffs_upto(12) == [1] + [0] * 12
 
 
@@ -104,7 +102,7 @@ def test_products_match_the_series_constructions():
         for order in range(31):
             assert q_product((), range(1, k + 1), order) == full.truncate(order), (k, order)
     for order in range(31):
-        assert phi(order) == euler_product(order), order
+        assert q_product(range(1, order + 1), (), order) == euler_product(order), order
         assert inv_phi(order) == partition_counts(order), order
     # (1 - q^2)(1 - q^3) / (1 - q)^2 = (1 + q)(1 + q + q^2)
     assert q_product((2, 3), (1, 1), 6) == TruncatedSeries({0: 1, 1: 2, 2: 2, 3: 1}, 1, 6)
