@@ -19,7 +19,7 @@ the two, and the sums over dense vectors in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
@@ -42,11 +42,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FermionicBranching:
-    raw: LaurentPoly
-    normalized: LaurentPoly
-    shift: Fraction
+class FermionicBranching(namedtuple("FermionicBranching", "raw normalized shift")):
+    __slots__ = ()
 
 
 def _multisets(n: int, t: int, top: int):

@@ -26,7 +26,7 @@ asked for is unpacked, into LaurentPoly objects shared through ``_unpack``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import islice, repeat
 from math import comb, isqrt
@@ -35,7 +35,7 @@ from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
 from .fock import FockVector, _lowerings
-from .qseries import LaurentPoly, _dense, _pack, _unpack
+from .qseries import LaurentPoly, _checked, _dense, _pack, _unpack
 
 __all__ = [
     "DecompositionMatrix",
@@ -96,13 +96,6 @@ def _norm(p: LaurentPoly) -> int:
     return sum(map(abs, p.terms.values()))
 
 
-def _checked(bound: int, what: str) -> None:
-    """Refuse a bound on coefficients' L1 norms at which a packed digit could wrap."""
-    digit = qseries._DIGIT
-    if bound >> (digit - 1):
-        raise ConventionError(f"{what}: coefficients could pass 2^{digit - 1}")
-
-
 def _bar_closure(x: int, off: int) -> tuple[int, int]:
     """The packed bar-invariant polynomial congruent to x mod qZ[q], and its L1 norm.
 
@@ -120,15 +113,10 @@ def _bar_closure(x: int, off: int) -> tuple[int, int]:
     return _pack(terms, off), _norm(gamma)
 
 
-@dataclass
-class DecompositionMatrix:
+class DecompositionMatrix(namedtuple("DecompositionMatrix", "n m rows cols entries")):
     """Columns d_(lambda,mu)(q) of the lower global basis at a fixed weight."""
 
-    n: int
-    m: int
-    rows: list[pt.Partition]
-    cols: list[pt.Partition]
-    entries: list[list[LaurentPoly]]
+    __slots__ = ()
 
     def entry(self, lam: pt.Partition, mu: pt.Partition) -> LaurentPoly:
         return self.entries[self.rows.index(lam)][self.cols.index(mu)]
@@ -168,7 +156,7 @@ def _bases(n: int, m: int) -> list[dict[pt.Partition, tuple[Column, int]]]:
             if mu:
                 res, k, bar = _top_ladder(mu, n)
                 col, off, bound = _lowered(n, (res,), *sizes[s - k][bar], k)
-            _checked(bound, f"column {mu}")
+            _checked(bound, lambda: f"column {mu}: coefficients")
             unit = 1 << digit * off
             if col.get(mu) != unit or not all(map(pt.dominates, repeat(mu), col)):
                 raise ConventionError(f"start for {mu} has no unit dominance-triangular leading term")
@@ -186,7 +174,7 @@ def _bases(n: int, m: int) -> list[dict[pt.Partition, tuple[Column, int]]]:
                 for lam, y in target.items():
                     col[lam] = col.get(lam, 0) - gamma * y
                 bound += norm * target_norm
-                _checked(bound, f"column {mu}")
+                _checked(bound, lambda: f"column {mu}: coefficients")
             for lam, x in col.items():
                 if lam != mu and x & mask:
                     raise ConventionError(
@@ -242,7 +230,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
             x = vec.get(lam)
             if not x:
                 continue
-            _checked(bound, f"restriction image of {mu}")
+            _checked(bound, lambda: f"restriction image of {mu}: coefficients")
             c = coeffs[lam] = _unpack(x).shifted(-off) if off else _unpack(x)
             target, target_norm = high[lam]
             for nu, y in target.items():

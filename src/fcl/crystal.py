@@ -18,7 +18,7 @@ everything below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import partitions as pt
 from .errors import ConventionError
@@ -37,12 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignatureWord:
-    symbols: tuple[tuple[str, int], ...]
-    reduced: tuple[tuple[str, int], ...]
-    good_removable: int | None
-    good_addable: int | None
+class SignatureWord(namedtuple("SignatureWord", "symbols reduced good_removable good_addable")):
+    """The i-node sweep read as letters (A addable, R removable) with their columns, the
+    letters left after cancellation, and the columns of the good removable and addable nodes."""
+
+    __slots__ = ()
 
     @property
     def eps(self) -> int:
@@ -112,13 +111,10 @@ def js_crystal(lam: pt.Partition, n: int) -> bool:
     return sorted(eps) == [0] * (n - 1) + [1]
 
 
-@dataclass
-class CrystalGraph:
-    n: int
-    max_m: int
-    component_of_empty: bool
-    nodes: list[pt.Partition]
-    edges: list[tuple[pt.Partition, int, pt.Partition]] = field(default_factory=list)
+class CrystalGraph(namedtuple("CrystalGraph", "n max_m component_of_empty nodes edges")):
+    """The nodes in size order and the edges (lam, i, f~_i lam)."""
+
+    __slots__ = ()
 
     def levels(self) -> dict[int, list[pt.Partition]]:
         out: dict[int, list[pt.Partition]] = {}

@@ -30,7 +30,7 @@ labelled by n; its arithmetic, ``minus_scaled`` included, lives there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 
 from . import partitions as pt
@@ -138,12 +138,9 @@ def divided_f(i: int, k: int, u: FockVector) -> FockVector:
     return FockVector._of(n, _built(acc, den))
 
 
-@dataclass
-class RelationReport:
-    n: int
-    max_weight: int
-    ok: bool
-    failures: list[str] = field(default_factory=list)
+class RelationReport(namedtuple("RelationReport", "n max_weight failures")):
+    __slots__ = ()
+    ok = property(lambda self: not self.failures)
 
 
 def relation_check(n: int, m: int = 6) -> RelationReport:
@@ -152,15 +149,12 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
     Checks [e_i, f_j], both q-Serre relations, and the weight compatibility
     of e_i/f_i with the q^(h_i) eigenvalues.  Failure is reported as data.
     """
-    report = RelationReport(n=n, max_weight=m, ok=True)
+    failures: list[str] = []
+    fail = failures.append
     basis = [
         lam for size in range(m + 1) for lam in pt.enumerate_partitions(size)
     ]
     alpha = [pt.weight_basics(n, j)[0] for j in range(n)]
-
-    def fail(msg: str):
-        report.ok = False
-        report.failures.append(msg)
 
     for lam in basis:
         v = FockVector.basis(n, lam)
@@ -204,4 +198,4 @@ def relation_check(n: int, m: int = 6) -> RelationReport:
                     if not acc.is_zero():
                         name = "e" if op is e_apply else "f"
                         fail(f"{name}-Serre failed on {lam} (i={i}, j={j})")
-    return report
+    return RelationReport(n, m, failures)

@@ -10,7 +10,7 @@ i-nodes of a partition are read off its rim in one sweep (``_inodes``), and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, ge
@@ -141,17 +141,15 @@ def residue_counts(lam: Partition, n: int, colour: int = 0) -> tuple[int, ...]:
     return m
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", "n fund delta")):
     """Integer vector over the fundamental weights plus a delta coefficient."""
 
-    n: int
-    fund: tuple[int, ...]
-    delta: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.fund) != self.n:
+    def __new__(cls, n: int, fund: tuple[int, ...], delta: int = 0):
+        if len(fund) != n:
             raise ValueError("fund must have length n")
+        return super().__new__(cls, n, fund, delta)
 
     def level(self) -> int:
         return sum(self.fund)

@@ -16,8 +16,7 @@ after the top block is the colour j.  ``fow_classify`` checks it,
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from . import partitions as pt
@@ -40,14 +39,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathWord:
-    gamma: tuple[int, ...]
-    n: int
+class PathWord(namedtuple("PathWord", "gamma n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not 0 <= g < self.n for g in self.gamma):
+    def __new__(cls, gamma: tuple[int, ...], n: int):
+        if any(not 0 <= g < n for g in gamma):
             raise ValueError("residues out of range")
+        return super().__new__(cls, gamma, n)
 
     def residue(self, k: int) -> int:
         return self.gamma[k] if k < len(self.gamma) else k % self.n

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import ExactDivisionError
+from .errors import ConventionError, ExactDivisionError
 
 __all__ = [
     "LaurentPoly",
@@ -311,6 +311,13 @@ def _unpack(x: int) -> LaurentPoly:
             rest, e = (rest - c) >> _DIGIT, e + 1
         p = _UNPACKED[x] = LaurentPoly(terms)
     return p
+
+
+def _checked(bound: int, what) -> None:
+    """Refuse a bound on packed coefficients' L1 norms at which a digit could wrap;
+    ``what()`` names the coefficients, and is called only to say so."""
+    if bound >> (_DIGIT - 1):
+        raise ConventionError(f"{what()} could pass 2^{_DIGIT - 1}")
 
 
 def _pack(terms: dict[int, int], off: int) -> int:

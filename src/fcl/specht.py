@@ -9,8 +9,8 @@ representation matrices for the deformed symmetric-group algebra.
 Straightening multiplies only by signs and powers v^k, k >= 0, so each of its
 coefficients is packed as one int sum c_e 2^(64 e), read back by ``qseries._unpack``.
 Each cached entry carries a bound on the L1 norm of its coefficients, 1 for a
-standard tableau and else the sum of its Garnir summands' bounds; a bound of 2^63,
-where a digit could wrap into the next, is refused, so every digit unpacks exactly.
+standard tableau and else the sum of its Garnir summands' bounds; ``qseries._checked``
+refuses a bound of 2^63, where a digit could wrap into the next, so every digit unpacks exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from itertools import combinations, repeat
 from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
-from .qseries import _MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built, _dense, _unpack
+from .qseries import (_MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built, _checked, _dense,
+                      _unpack)
 
 __all__ = [
     "Tableau",
@@ -57,6 +58,7 @@ def parse_tableau(text: str) -> Tableau:
 
 
 def is_column_standard(t: Tableau) -> bool:
+    pt.check_partition(shape_of(t))
     for r in range(len(t) - 1):
         for c in range(len(t[r + 1])):
             if t[r][c] > t[r + 1][c]:
@@ -267,8 +269,7 @@ def _straighten_sorted(z: Tableau, _active: set[Tableau] | None = None) -> tuple
             for t, c in pairs:
                 acc[t] = acc.get(t, 0) + (f * c << digit * k)
         _active.discard(z)
-        if bound >> (digit - 1):
-            raise ConventionError(f"straightened coefficients of {tableau_text(z)} could pass 2^{digit - 1}")
+        _checked(bound, lambda: f"straightened coefficients of {tableau_text(z)}")
         result = (tuple((t, c) for t, c in acc.items() if c), bound)
     _STRAIGHTEN_CACHE[z] = result
     return result
@@ -276,6 +277,7 @@ def _straighten_sorted(z: Tableau, _active: set[Tableau] | None = None) -> tuple
 
 def straighten(t: Tableau) -> SpechtVector:
     """Rewrite a tableau vector in the standard basis."""
+    pt.check_partition(shape_of(t))
     entries = sorted(e for row in t for e in row)
     if entries != list(range(1, len(entries) + 1)):
         raise ValueError("tableau entries must be a bijective filling by 1..m")

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,37 @@ def test_one_combination_type_and_one_accumulator():
     assert specht._dense is qseries._dense and canonical._dense is qseries._dense
     for mod, name in ((specht, "_rows"), (canonical, "_from_columns"), (canonical, "ladders")):
         assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    # one guard refuses a packed digit that could wrap, for straightening and the canonical basis
+    assert specht._checked is qseries._checked and canonical._checked is qseries._checked
+
+
+def test_cold_import_loads_no_dataclasses():
+    # the records are named tuples, so importing the CLI pulls in neither dataclasses nor
+    # what it imports; a fresh interpreter, because this one has loaded them already
+    code = "import sys, fcl.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "fcl.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, loaded
+
+
+def test_records_are_immutable():
+    from fcl import branching, canonical, crystal, fock, partitions, paths
+
+    records = [partitions.fundamental(3, 1), paths.to_path((2, 1), 2),
+               crystal.signature((2, 1), 2, 0), crystal.crystal_graph(2, 3),
+               canonical.global_lower_basis(2, 3), fock.relation_check(2, 2),
+               branching.fermionic_poly(2, 0, (0, 0), 2)]
+    assert [type(r).__name__ for r in records] == [
+        "Weight", "PathWord", "SignatureWord", "CrystalGraph", "DecompositionMatrix",
+        "RelationReport", "FermionicBranching"]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+

@@ -359,6 +359,8 @@ def test_q_one_specialization_matches_folded():
 
 
 def test_relation_check_passes():
+    report = relation_check(2, 3)
+    assert report.ok is True and report.failures == []
     assert relation_check(2, 4).ok
     assert relation_check(3, 5).ok
 

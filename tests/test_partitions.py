@@ -294,6 +294,9 @@ def test_weight_basics():
     for i in range(3):
         total = total + weight_basics(3, i)[0]
     assert total == Weight(3, (0, 0, 0), 1)  # the null root
+    assert Weight(3, (0, 0, 1)).delta == 0
+    with pytest.raises(ValueError, match="fund must have length n"):
+        Weight(3, (1, 0))
 
 
 def test_weight_level_one():

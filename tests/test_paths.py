@@ -317,3 +317,5 @@ def test_abf_sum_examples():
 def test_path_word_validation():
     with pytest.raises(ValueError):
         PathWord((0, 2), 2)
+    with pytest.raises(ValueError, match="residues out of range"):
+        PathWord((0, 5), 3)

@@ -11,6 +11,7 @@ from fcl.qseries import LaurentPoly
 from fcl.specht import (
     SpechtVector,
     garnir,
+    is_column_standard,
     jucys_murphy,
     parse_tableau,
     rep_matrix,
@@ -138,6 +139,15 @@ def test_garnir_rejects_bad_input():
         garnir(((1, 2), (3, 4)), 1, 1)  # no violation
     with pytest.raises(ValueError):
         garnir(((3, 1), (2, 4)), 1, 1)  # not column-standard
+
+
+@pytest.mark.parametrize("rows", [((1,), (2, 3)), ((1, 2), ()), ((1,), (2,), (3, 4))], ids=str)
+def test_rows_that_are_not_a_partition_shape_are_refused(rows):
+    # a filling by 1..m, so only the shape is wrong: no vector labelled by a non-partition,
+    # and no IndexError from reading a cell that the shape does not have
+    for call in (straighten, is_column_standard, lambda t: garnir(t, 1, 1)):
+        with pytest.raises(ValueError, match="parts must be"):
+            call(rows)
 
 
 def test_straighten_basics():
