@@ -35,7 +35,7 @@ from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
 from .fock import FockVector, _lowerings
-from .qseries import LaurentPoly, _checked, _dense, _pack, _unpack
+from .qseries import LaurentPoly, SparseMatrix, _checked, _pack, _unpack
 
 __all__ = [
     "DecompositionMatrix",
@@ -114,12 +114,12 @@ def _bar_closure(x: int, off: int) -> tuple[int, int]:
 
 
 class DecompositionMatrix(namedtuple("DecompositionMatrix", "n m rows cols entries")):
-    """Columns d_(lambda,mu)(q) of the lower global basis at a fixed weight."""
+    """Columns d_(lambda,mu)(q) of the lower global basis at a fixed weight, as a SparseMatrix."""
 
     __slots__ = ()
 
     def entry(self, lam: pt.Partition, mu: pt.Partition) -> LaurentPoly:
-        return self.entries[self.rows.index(lam)][self.cols.index(mu)]
+        return self.entries.entry(lam, mu)
 
 
 def _check_n(n: int) -> None:
@@ -202,7 +202,8 @@ def global_lower_basis(n: int, m: int) -> DecompositionMatrix:
     vecs = global_basis_vectors(n, m)
     cols = pt.enumerate_partitions(m, regular=n)
     rows = pt.enumerate_partitions(m)
-    return DecompositionMatrix(n, m, rows, cols, _dense(rows, [vecs[mu].terms for mu in cols]))
+    columns = [vecs[mu].terms for mu in cols]
+    return DecompositionMatrix(n, m, rows, cols, SparseMatrix(rows, cols, columns))
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +242,7 @@ def restriction_coeffs(n: int, m: int) -> DecompositionMatrix:
                 f"restriction image of {mu} does not lie in the basis span"
             )
         columns.append(coeffs)
-    return DecompositionMatrix(n, m, rows, cols, _dense(rows, columns))
+    return DecompositionMatrix(n, m, rows, cols, SparseMatrix(rows, cols, columns))
 
 
 def js_canonical(lam: pt.Partition, n: int) -> bool:
@@ -255,7 +256,6 @@ def js_canonical(lam: pt.Partition, n: int) -> bool:
         return True
     m = sum(lam)
     mat = restriction_coeffs(n, m)
-    row = mat.entries[mat.rows.index(lam)]
-    nonzero = [c for c in row if not c.is_zero()]
+    nonzero = [c for c in map(mat.entry, repeat(lam), mat.cols) if not c.is_zero()]
     return len(nonzero) == 1 and nonzero[0].eval_one() == 1
 

@@ -16,14 +16,13 @@ import csv
 import io
 import json
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain
 from math import comb, factorial, prod
-from operator import is_not
 
 from . import branching, canonical, crystal, fock, paths, specht
 from . import partitions as pt
 from .errors import ConventionError, ResourceBoundError
-from .qseries import _ZERO, LaurentPoly, TruncatedSeries, inv_phi
+from .qseries import _ZERO, LaurentPoly, SparseMatrix, TruncatedSeries, inv_phi
 
 __all__ = ["main", "dispatch", "BUDGET"]
 
@@ -35,38 +34,38 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cell) -> str:
+def _matrix(fmt: str, head: dict, rows: list[str], cols: list[str], mat: SparseMatrix, cell) -> str:
     """A matrix of LaurentPoly entries labelled by rows and cols, each shown as cell(entry).
 
-    CSV has a header of column labels, one line per row label and '.' for a
-    zero entry; JSON has the head fields plus "entries".  ``qseries._dense``
-    fills every empty cell with the one zero ``_ZERO``, so one scan by identity
-    finds a row's other entries, and the texts of those that are not zero
-    either are patched into a row of zero cells.  Entries share few distinct
-    objects, so each object is rendered once per matrix.  No cell text holds a
-    comma, quote or line break, so only the labels need CSV quoting.
-    """
-    blank = [cell(_ZERO) if fmt == "json" else "."] * len(cols)
+    CSV has a header of column labels, one line per row label and '.' for a zero entry; JSON
+    has the head fields plus "entries".  Each row is a copy of a row of zero cells with the
+    cells of its nonzeros written in, each distinct entry object rendered once.  No cell text
+    holds a comma, quote or line break, so only the labels need CSV quoting."""
     show = cell if fmt == "json" else lambda e: str(cell(e))
-    texts: dict[int, object] = {}  # id of an entry -> its cell, None for a zero
+    texts: dict[int, object] = {}  # id of an entry -> its cell
+    blank = [cell(_ZERO) if fmt == "json" else "."] * len(cols)
+    nonzero = [[] for _ in rows]  # each row's nonzero columns, ascending
+    for j, col in enumerate(mat.columns):
+        for r in col:
+            nonzero[r].append(j)
 
-    def patched(row) -> list:
+    def written(r: int) -> list:
         cells = blank.copy()
-        for j in compress(range(len(row)), map(is_not, row, repeat(_ZERO))):
-            e = row[j]
+        for j in nonzero[r]:
+            e = mat.columns[j][r]
             if id(e) not in texts:
-                texts[id(e)] = None if e.is_zero() else show(e)
-            if texts[id(e)] is not None:
-                cells[j] = texts[id(e)]
+                texts[id(e)] = show(e)
+            cells[j] = texts[id(e)]
         return cells
 
+    lines = map(written, range(len(rows)))
     if fmt == "json":  # the head's text around the entries, written row by row
         before, after = json.dumps({**head, "entries": 0}, sort_keys=True).split('"entries": 0')
-        rows_json = ((", " if i else "") + json.dumps(patched(row)) for i, row in enumerate(entries))
+        rows_json = ((", " if i else "") + json.dumps(cells) for i, cells in enumerate(lines))
         return "".join(chain([before, '"entries": ['], rows_json, ["]", after]))
     labels = _csv([r] for r in rows).splitlines()
     return _csv([["", *cols]]) + "".join(
-        f"{label},{','.join(patched(row))}\n" for label, row in zip(labels, entries))
+        f"{label},{','.join(cells)}\n" for label, cells in zip(labels, lines))
 
 
 def _emit(x: LaurentPoly | TruncatedSeries, fmt: str, var: str = "q") -> str:
@@ -488,6 +487,8 @@ def dispatch(argv: list[str]) -> int:
             raise ResourceBoundError(f"{args.command} is estimated at {cost:,} steps for"
                                      f" {what}, over the budget of {BUDGET:,}")
         result = args.func(args)
+        text, failures = result if isinstance(result, tuple) else (result, 0)
+        print(text)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -500,8 +501,6 @@ def dispatch(argv: list[str]) -> int:
     except (RecursionError, MemoryError):
         print("resource cap: input too large for the stack or memory at hand", file=sys.stderr)
         return 4
-    text, failures = result if isinstance(result, tuple) else (result, 0)
-    print(text)
     return 1 if failures else 0
 
 

@@ -13,7 +13,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, ge
+from operator import add, ge, sub
 
 __all__ = [
     "Partition",
@@ -162,18 +162,10 @@ class Weight(namedtuple("Weight", "n fund delta")):
         return self.fund[i % self.n]
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            self.n,
-            tuple(a + b for a, b in zip(self.fund, other.fund)),
-            self.delta + other.delta,
-        )
+        return Weight(self.n, tuple(map(add, self.fund, other.fund)), self.delta + other.delta)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(
-            self.n,
-            tuple(a - b for a, b in zip(self.fund, other.fund)),
-            self.delta - other.delta,
-        )
+        return Weight(self.n, tuple(map(sub, self.fund, other.fund)), self.delta - other.delta)
 
     def __neg__(self) -> "Weight":
         return Weight(self.n, tuple(-a for a in self.fund), -self.delta)
@@ -185,20 +177,15 @@ class Weight(namedtuple("Weight", "n fund delta")):
         return ";".join(str(a) for a in (*self.fund, self.delta))
 
     def __str__(self):
-        parts = []
-        for i, a in enumerate(self.fund):
-            if a:
-                parts.append((a, f"L{i}"))
+        parts = [(a, f"L{i}") for i, a in enumerate(self.fund) if a]
         if self.delta:
             parts.append((self.delta, "d"))
-        if not parts:
-            return "0"
         out = ""
         for k, (a, sym) in enumerate(parts):
             sign = "-" if a < 0 else ("+" if k else "")
             mag = "" if abs(a) == 1 else str(abs(a)) + "*"
             out += f"{sign}{mag}{sym}"
-        return out
+        return out or "0"
 
 
 def fundamental(n: int, i: int) -> Weight:
@@ -209,12 +196,8 @@ def weight_basics(n: int, i: int) -> tuple[Weight, Weight]:
     """(alpha_i, eps_i): the simple root and fundamental vector, indices mod n."""
     if not 0 <= i < n:
         raise ValueError("residue out of range")
-    alpha = (
-        fundamental(n, i).scaled(2)
-        - fundamental(n, i - 1)
-        - fundamental(n, i + 1)
-        + Weight(n, (0,) * n, 1 if i == 0 else 0)
-    )
+    alpha = (fundamental(n, i).scaled(2) - fundamental(n, i - 1) - fundamental(n, i + 1)
+             + Weight(n, (0,) * n, 1 if i == 0 else 0))
     eps = fundamental(n, i + 1) - fundamental(n, i)
     return alpha, eps
 

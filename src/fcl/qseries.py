@@ -19,6 +19,7 @@ from .errors import ConventionError, ExactDivisionError
 __all__ = [
     "LaurentPoly",
     "Combination",
+    "SparseMatrix",
     "TruncatedSeries",
     "q_int",
     "gauss_balanced",
@@ -302,14 +303,17 @@ _DIGIT, _UNPACKED = 64, {}
 def _unpack(x: int) -> LaurentPoly:
     """The polynomial sum c_e v^e, e >= 0, packed as x = sum c_e 2^(_DIGIT e) (Kronecker
     substitution), read off x's balanced digits: exact while every |c_e| < 2^(_DIGIT - 1).
+    A run of zero digits is skipped in one shift, found from the lowest set bit.
     One LaurentPoly per distinct x, shared by every caller."""
     p = _UNPACKED.get(x)
     if p is None:
         terms, e, rest, half = {}, 0, x, 1 << (_DIGIT - 1)
         while rest:
+            skip = ((rest & -rest).bit_length() - 1) // _DIGIT
+            rest, e = rest >> _DIGIT * skip, e + skip
             c = terms[e] = ((rest + half) & (2 * half - 1)) - half
             rest, e = (rest - c) >> _DIGIT, e + 1
-        p = _UNPACKED[x] = LaurentPoly(terms)
+        p = _UNPACKED[x] = LaurentPoly._from_canonical(terms)
     return p
 
 
@@ -326,15 +330,29 @@ def _pack(terms: dict[int, int], off: int) -> int:
     return sum(c << _DIGIT * (e + off) for e, c in terms.items())
 
 
-def _dense(labels, columns) -> list[list[LaurentPoly]]:
-    """The rows, one per label, of the matrix whose j-th column is columns[j] as
-    {label: coefficient}; every other cell is the one zero ``_ZERO``."""
-    index = {key: r for r, key in enumerate(labels)}
-    rows = [[_ZERO] * len(columns) for _ in labels]
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            rows[index[key]][j] = c
-    return rows
+class SparseMatrix:
+    """A matrix of LaurentPoly entries with labelled rows and columns, kept by its nonzeros:
+    ``columns[j]`` is column j as {row index: entry}.  As a sequence it is its rows, each
+    built on demand as a list whose blank cells are the one zero ``_ZERO``: ``len`` counts
+    them, ``m[r][c]`` is one entry, and iterating (through ``__getitem__``) yields them."""
+
+    __slots__ = ("rows", "cols", "columns", "_row", "_col")  # _row, _col: index of each label
+
+    def __init__(self, rows, cols, columns):  # each column as {row label: entry}
+        where = {key: r for r, key in enumerate(rows)}
+        self.rows, self.cols, self._row = rows, cols, where
+        self._col = {key: j for j, key in enumerate(cols)}
+        self.columns = [{where[key]: c for key, c in col.items() if c.terms} for col in columns]
+
+    def entry(self, row, col) -> LaurentPoly:  # by the labels of its row and column
+        return self.columns[self._col[col]].get(self._row[row], _ZERO)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, r: int) -> list[LaurentPoly]:
+        r = range(len(self.rows))[r]  # an IndexError past the last row ends an iteration
+        return [col.get(r, _ZERO) for col in self.columns]
 
 
 class Combination:

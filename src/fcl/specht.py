@@ -22,8 +22,8 @@ from itertools import combinations, repeat
 from . import partitions as pt
 from . import qseries
 from .errors import ConventionError
-from .qseries import (_MINUS_ONE, Combination, LaurentPoly, _add_shifted, _built, _checked, _dense,
-                      _unpack)
+from .qseries import (_MINUS_ONE, Combination, LaurentPoly, SparseMatrix, _add_shifted, _built,
+                      _checked, _unpack)
 
 __all__ = [
     "Tableau",
@@ -323,14 +323,14 @@ def _times(vec: dict[Tableau, LaurentPoly], cols: dict, s: int = 0) -> dict[Tabl
 
 
 @lru_cache(maxsize=None)
-def rep_matrix(shape: pt.Partition, i: int) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """Matrix of the i-th generator; columns are images of basis vectors."""
+def rep_matrix(shape: pt.Partition, i: int) -> SparseMatrix:
+    """Matrix of the i-th generator, labelled by the basis; columns are images of basis vectors."""
     shape = pt.check_partition(shape)
     m = sum(shape)
     if not 1 <= i <= m - 1:
         raise ValueError(f"generator index {i} out of range for m={m}")
     basis = standard_tableaux(shape)
-    return tuple(map(tuple, _dense(basis, [_generator_image(t, i) for t in basis])))
+    return SparseMatrix(basis, basis, [_generator_image(t, i) for t in basis])
 
 
 def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPoly]]:
@@ -345,7 +345,7 @@ def rep_word(shape: pt.Partition, word: tuple[int, ...]) -> list[list[LaurentPol
     cols = {t: {t: LaurentPoly.one()} for t in basis}
     for i in reversed(word):
         cols = {t: _times(vec, gens[i]) for t, vec in cols.items()}
-    return _dense(basis, cols.values())
+    return list(SparseMatrix(basis, basis, cols.values()))
 
 
 def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
@@ -365,4 +365,4 @@ def jucys_murphy(shape: pt.Partition, k: int) -> list[list[LaurentPoly]]:
             vec[t] = vec.get(t, LaurentPoly.zero()) + LaurentPoly.one()
             nxt[t] = _times(vec, gen, -1)
         cols = nxt
-    return _dense(basis, cols.values())
+    return list(SparseMatrix(basis, basis, cols.values()))

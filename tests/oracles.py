@@ -457,9 +457,10 @@ def fermionic_limit_dense(n: int, j: int, target: tuple[int, int], degree: int) 
 
 
 def matrix_text(fmt: str, head: dict, rows: list[str], cols: list[str], entries, cell) -> str:
-    """The CLI's matrix output: every entry tested with ``is_zero`` and
-    written as '.' (CSV) or cell of the zero (JSON), else as cell(entry), and
-    every CSV row, labels and cells alike, written through one csv.writer."""
+    """The CLI's matrix output from the dense rows that iterating ``entries`` yields (a
+    ``SparseMatrix`` or a list of rows): every cell tested with ``is_zero`` and written as
+    '.' (CSV) or cell of the zero (JSON), else as cell(entry), and every CSV row, labels
+    and cells alike, written through one csv.writer."""
     zero = cell(LaurentPoly.zero()) if fmt == "json" else "."
     body = [[zero if e.is_zero() else cell(e) for e in row] for row in entries]
     if fmt == "json":

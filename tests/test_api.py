@@ -101,9 +101,10 @@ def test_one_combination_type_and_one_accumulator():
     # decoder, and canonical packs through its one encoder
     assert specht._unpack is qseries._unpack
     assert canonical._unpack is qseries._unpack and canonical._pack is qseries._pack
-    # one filler of dense matrices, whose empty cells are all the one zero
-    assert specht._dense is qseries._dense and canonical._dense is qseries._dense
-    for mod, name in ((specht, "_rows"), (canonical, "_from_columns"), (canonical, "ladders")):
+    # one labelled sparse matrix type, and no filler of dense matrices
+    assert specht.SparseMatrix is qseries.SparseMatrix and canonical.SparseMatrix is qseries.SparseMatrix
+    for mod, name in ((specht, "_rows"), (canonical, "_from_columns"), (canonical, "ladders"),
+                      (qseries, "_dense"), (specht, "_dense"), (canonical, "_dense")):
         assert not hasattr(mod, name), f"{mod.__name__}.{name}"
     # one guard refuses a packed digit that could wrap, for straightening and the canonical basis
     assert specht._checked is qseries._checked and canonical._checked is qseries._checked

@@ -256,7 +256,7 @@ def test_packed_lowering_is_f_apply(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_restriction_is_the_oracle(n):
     for m in range(1, 11):
-        assert restriction_coeffs(n, m).entries == oracles.restriction_coeffs(n, m), (n, m)
+        assert list(restriction_coeffs(n, m).entries) == oracles.restriction_coeffs(n, m), (n, m)
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import oracles
 from fcl import cli, partitions
 from fcl.cli import _matrix, build_parser, dispatch
-from fcl.partitions import enumerate_partitions, multiplicities
-from fcl.qseries import _ZERO, LaurentPoly
+from fcl.partitions import enumerate_partitions, format_partition, multiplicities
+from fcl.qseries import _ZERO, LaurentPoly, SparseMatrix
 from fcl.specht import standard_tableaux
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -394,6 +394,44 @@ def test_matrix_writer_is_the_csv_writer_oracle(capsys, monkeypatch, argv, fmt):
     assert written == (dispatch(argv), capsys.readouterr())
 
 
+def _matrix_commands():
+    """Every generator of every shape of size <= 7, one of size 10, and the canonical, decomposition
+    and restriction matrices for n = 2..4, m <= 8."""
+    for m in range(2, 8):
+        for shape in enumerate_partitions(m):
+            yield from (f"specht-matrix --shape {format_partition(shape)} --gen {i}" for i in range(1, m))
+    yield "specht-matrix --shape 5,4,1 --gen 3"
+    for command in ("canonical-basis", "decomp-matrix", "restriction"):
+        for n in (2, 3, 4):
+            yield from (f"{command} --n {n} --m {m}" for m in range(command == "restriction", 9))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_matrix_command_is_the_oracle_rendering_of_its_dense_rows(capsys, monkeypatch, fmt):
+    written = {}
+    for argv in _matrix_commands():
+        assert dispatch([*argv.split(), "--format", fmt]) == 0, argv
+        written[argv] = capsys.readouterr()
+    # the oracle writes the dense rows that iterating each command's SparseMatrix yields
+    monkeypatch.setattr(cli, "_matrix", oracles.matrix_text)
+    for argv, (out, err) in written.items():
+        assert dispatch([*argv.split(), "--format", fmt]) == 0, argv
+        assert capsys.readouterr() == (out, err), argv
+    assert len(written) == 197 + 3 * 3 * 9 - 3
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise MemoryError
+
+
+def test_an_output_too_large_to_write_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert dispatch(["specht-matrix", "--shape", "3,2", "--gen", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err == "resource cap: input too large for the stack or memory at hand\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.integers(-40, 40), st.integers(-10**6, 10**6), max_size=8),
        st.integers(1, 6))
@@ -639,7 +677,7 @@ ONE, V = LaurentPoly.one(), LaurentPoly.q_power(1)
 @pytest.mark.parametrize("zero", [LaurentPoly({}), LaurentPoly({0: 0})])
 def test_matrix_finds_a_zero_that_is_not_the_singleton(cell, zero_cell, zero):
     assert zero is not _ZERO and zero.is_zero()
-    entries = [[zero, ONE], [V, _ZERO]]
+    entries = SparseMatrix(["a", "b,c"], ["x", "y"], [{"a": zero, "b,c": V}, {"a": ONE, "b,c": _ZERO}])
     args = ({"n": 2}, ["a", "b,c"], ["x", "y"], entries, cell)
     assert _matrix("csv", *args) == f',x,y\na,.,{cell(ONE)}\n"b,c",{cell(V)},.\n'
     payload = json.loads(_matrix("json", *args))

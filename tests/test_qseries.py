@@ -184,11 +184,35 @@ def test_unpack_reads_back_the_packed_coefficients(terms):
     assert qseries._unpack(-x) == -p
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 20000),
+                       st.integers(-(2**63) + 1, 2**63 - 1).filter(bool), max_size=6))
+def test_unpack_inverts_pack_at_sparse_high_exponents(terms):
+    assert qseries._unpack(qseries._pack(terms, 0)).terms == terms
+
+
+def test_unpack_skips_runs_of_zero_digits():
+    # one shift per run: stepping through 10^5 zero digits one at a time takes about 30 s each
+    assert qseries._unpack(-1 << 64 * 10**5).terms == {10**5: -1}
+    assert qseries._unpack((1 << 64 * 10**5) + 3).terms == {0: 3, 10**5: 1}
+
+
 def test_unpack_at_the_digit_edges():
     for c in (2**63 - 1, -(2**63) + 1, -1, 1):
         assert qseries._unpack(c << 64 * 3).terms == {3: c}
     assert qseries._unpack((1 << 64) - 1).terms == {0: -1, 1: 1}  # v - 1
     assert qseries._unpack(0) == LaurentPoly.zero()
+
+
+def test_sparse_matrix_is_its_dense_rows():
+    v, zero = Q(1), qseries._ZERO
+    m = qseries.SparseMatrix("abc", "xy", [{"a": one, "c": LaurentPoly({0: 0})}, {"b": v}])
+    assert m.columns == [{0: one}, {1: v}]  # a zero entry is not kept
+    assert len(m) == 3 and list(m) == [[one, zero], [zero, v], [zero, zero]]
+    assert m[1][1] is v and m[-1] == m[2] and all(e is zero for e in m[2])
+    assert m.entry("b", "y") is v and m.entry("c", "x") is zero
+    with pytest.raises(IndexError):
+        m[3]
 
 
 def test_text_reduces_each_exponent():
